@@ -38,8 +38,9 @@ bool is_normalised(const FaultTree& tree);
 /// subtrees (same gate kind, same children, order-insensitive) become one
 /// shared node. Unlike normalise() the gate structure is preserved --
 /// nothing is flattened or re-polarised -- so the rendered tree keeps its
-/// shape while duplicate expansions (e.g. from loop-cut re-resolution)
-/// collapse. Gate descriptions of merged nodes keep the first copy's text.
+/// shape while duplicate expansions (memoisation disabled, or one key
+/// resolved in several loop contexts) collapse. Gate descriptions of merged
+/// nodes keep the first copy's text.
 FaultTree deduplicate(const FaultTree& tree);
 
 /// A stable 128-bit structural hash of a fault-tree cone. Two nodes -- in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -18,7 +19,8 @@ namespace ftsynth {
 
 namespace {
 
-/// Memoisation / cycle-detection key: one traversal target.
+/// Traversal target: memoisation and cycle-detection key. A Run numbers the
+/// keys it meets densely; its per-key state is indexed by that number.
 struct Key {
   const Port* port;
   ChannelRange range;  // always concrete
@@ -37,6 +39,42 @@ struct KeyHash {
     h = h * 1000003u ^ k.cls.hash();
     return h;
   }
+};
+
+/// A set of keys on feedback loops: bit n stands for the key with loop
+/// number n. Only keys found on a loop are numbered, so the sets grow with
+/// the loops, not with the model.
+using LoopSet = std::vector<std::uint64_t>;
+
+void add(LoopSet& set, std::uint32_t loop) {
+  if (set.size() <= loop / 64) set.resize(loop / 64 + 1);
+  set[loop / 64] |= std::uint64_t{1} << (loop % 64);
+}
+
+void drop(LoopSet& set, std::uint32_t loop) {
+  if (loop / 64 < set.size())
+    set[loop / 64] &= ~(std::uint64_t{1} << (loop % 64));
+}
+
+void unite(LoopSet& into, const LoopSet& from) {
+  if (into.size() < from.size()) into.resize(from.size());
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] |= from[i];
+}
+
+bool none(const LoopSet& set) {
+  return std::all_of(set.begin(), set.end(),
+                     [](std::uint64_t word) { return word == 0; });
+}
+
+/// What a subtree's shape depends on besides its own key: `cut` holds the
+/// enclosing open frames it was cut against (never its own key); `expanded`
+/// the keys of those same feedback loops that it expanded. A key outside
+/// every loop has both empty. Only keys on a common cycle with the subtree's
+/// root can ever be open when that root is resolved again, so keys of other
+/// loops are left out of `expanded`.
+struct Context {
+  LoopSet cut;
+  LoopSet expanded;
 };
 
 /// One synthesise() invocation. Builds a single FaultTree.
@@ -355,6 +393,12 @@ class Run {
 
   /// Resolves a deviation at output port `port` against the block producing
   /// it. Memoised; cycles are cut here.
+  ///
+  /// A result is reused only where a fresh traversal would make the same
+  /// cut-or-expand decision at every key of its subtree: each frame it was
+  /// cut against is open again and none of the loop keys it expanded is.
+  /// Results computed inside feedback loops are thus shared like any other,
+  /// and after deduplicate() the tree equals the memo-free one.
   FtNode* resolve_output(const Port& port, ChannelRange range,
                          FailureClass cls) {
     // Resource guards: a deadline or depth violation cuts the traversal
@@ -365,7 +409,7 @@ class Run {
       return budget_cut(port, cls, "exceeded its deadline",
                         stats_.budget.deadline_exceeded);
     }
-    if (stack_.size() >= budget_.max_depth) {
+    if (frames_.size() >= budget_.max_depth) {
       return budget_cut(port, cls, "hit the traversal depth limit",
                         stats_.budget.depth_limited);
     }
@@ -376,17 +420,12 @@ class Run {
 
     Key key{&port, range.concrete(port.width()), cls};
     ++stats_.resolutions;
+    const std::uint32_t id = intern(key);
 
-    if (options_.memoise) {
-      if (auto it = memo_.find(key); it != memo_.end()) {
-        ++stats_.cache_hits;
-        return it->second;
-      }
-    }
-    if (auto it = on_stack_.find(key); it != on_stack_.end()) {
+    if (keys_[id].open) {
       // Feedback loop: cut at the repeated target.
       ++stats_.loops_cut;
-      taint_floor_ = std::min(taint_floor_, it->second);
+      add(frames_.back().cut, loop_number(id));
       if (options_.loops == SynthesisOptions::LoopPolicy::kPrune)
         return nullptr;
       Deviation d{cls, port.name()};
@@ -395,19 +434,92 @@ class Run {
           d.to_string() + " feeds back to itself through a control loop",
           port.owner().path());
     }
+    if (options_.memoise) {
+      for (const Entry& entry : keys_[id].entries) {
+        if (!reusable(entry.context)) continue;
+        ++stats_.cache_hits;
+        fold_into_frame(id, entry.context);
+        return entry.node;
+      }
+    }
 
-    const std::size_t index = stack_.size();
-    stack_.push_back(key);
-    on_stack_.emplace(key, index);
-
+    frames_.emplace_back();
+    set_open(id, true);
     FtNode* result = resolve_output_uncached(port, key.range, cls);
+    set_open(id, false);
+    Context context = std::move(frames_.back());
+    frames_.pop_back();
 
-    stack_.pop_back();
-    on_stack_.erase(key);
-    const bool tainted = index >= taint_floor_;
-    if (stack_.size() <= taint_floor_) taint_floor_ = SIZE_MAX;
-    if (options_.memoise && !tainted) memo_.emplace(key, result);
+    if (keys_[id].loop != kNoLoop) drop(context.cut, keys_[id].loop);
+    fold_into_frame(id, context);
+    if (result != nullptr && result->kind() == NodeKind::kGate) {
+      const auto node_id = static_cast<std::size_t>(result->id());
+      if (published_.size() <= node_id) published_.resize(node_id + 1);
+      published_[node_id] = true;
+    }
+    if (options_.memoise)
+      keys_[id].entries.push_back(Entry{result, std::move(context)});
     return result;
+  }
+
+  std::uint32_t intern(const Key& key) {
+    auto [it, inserted] =
+        ids_.emplace(key, static_cast<std::uint32_t>(keys_.size()));
+    if (inserted) keys_.emplace_back();
+    return it->second;
+  }
+
+  /// Key `id`'s loop number, assigned when the key is first found on a
+  /// feedback loop.
+  std::uint32_t loop_number(std::uint32_t id) {
+    KeyState& state = keys_[id];
+    if (state.loop == kNoLoop) {
+      state.loop = next_loop_++;
+      if (state.open) add(open_loops_, state.loop);
+    }
+    return state.loop;
+  }
+
+  void set_open(std::uint32_t id, bool open) {
+    KeyState& state = keys_[id];
+    state.open = open;
+    if (state.loop == kNoLoop) return;
+    if (open) {
+      add(open_loops_, state.loop);
+    } else {
+      drop(open_loops_, state.loop);
+    }
+  }
+
+  /// Folds a resolution of key `id` into the enclosing frame's context. A
+  /// resolution cut against no enclosing frame closes its loops itself, so
+  /// nothing in it can be open when the enclosing frame is resolved again.
+  void fold_into_frame(std::uint32_t id, const Context& context) {
+    if (frames_.empty() || none(context.cut)) return;
+    Context& frame = frames_.back();
+    unite(frame.cut, context.cut);
+    unite(frame.expanded, context.expanded);
+    add(frame.expanded, loop_number(id));
+  }
+
+  bool reusable(const Context& context) const {
+    auto open = [&](std::size_t word) {
+      return word < open_loops_.size() ? open_loops_[word] : 0;
+    };
+    for (std::size_t word = 0; word < context.cut.size(); ++word) {
+      if ((context.cut[word] & ~open(word)) != 0) return false;
+    }
+    for (std::size_t word = 0; word < context.expanded.size(); ++word) {
+      if ((context.expanded[word] & open(word)) != 0) return false;
+    }
+    return true;
+  }
+
+  /// True for a gate some resolve_output() returned: the memo may share it,
+  /// so it must not be changed in place.
+  bool published(const FtNode* node) const {
+    const auto node_id = static_cast<std::size_t>(node->id());
+    return node_id < published_.size() && published_[node_id];
   }
 
   FtNode* resolve_output_uncached(const Port& port, ChannelRange range,
@@ -449,11 +561,13 @@ class Run {
     bool explained = false;
     FtNode* node = convert_rows(block, deviation, explained);
 
-    // Gates built by convert()/convert_rows() for this call are fresh
-    // (never memoised), so they are ours to relabel and extend in place.
+    // Gates that convert_rows() built from this block's own rows are ours to
+    // relabel and extend in place. A gate a nested resolution returned (a
+    // subsystem's common-cause OR, say) may be shared through the memo.
+    const bool owned = node != nullptr && node->kind() == NodeKind::kGate &&
+                       !published(node);
     const bool owned_or_gate =
-        node != nullptr && node->kind() == NodeKind::kGate &&
-        node->gate() == GateKind::kOr &&
+        owned && node->gate() == GateKind::kOr &&
         (node->description().rfind("causes at", 0) == 0 ||
          node->description() == describe(cls, port.name(), block.path()));
 
@@ -473,8 +587,7 @@ class Run {
       }
     }
     if (explained) {
-      if (node != nullptr && node->kind() == NodeKind::kGate &&
-          node->description().rfind("causes at", 0) == 0) {
+      if (owned && node->description().rfind("causes at", 0) == 0) {
         node->set_description(describe(cls, port.name(), block.path()));
       }
       return node;
@@ -596,10 +709,25 @@ class Run {
   Budget budget_;  ///< run-local copy: the deadline tick is per-traversal
   FailureClass omission_;
 
-  std::unordered_map<Key, FtNode*, KeyHash> memo_;
-  std::vector<Key> stack_;
-  std::unordered_map<Key, std::size_t, KeyHash> on_stack_;
-  std::size_t taint_floor_ = SIZE_MAX;
+  struct Entry {
+    FtNode* node;
+    Context context;
+  };
+  static constexpr std::uint32_t kNoLoop = UINT32_MAX;
+  struct KeyState {
+    bool open = false;             ///< on the traversal stack
+    std::uint32_t loop = kNoLoop;  ///< see loop_number()
+    std::vector<Entry> entries;    ///< memoised results, one per context
+  };
+
+  std::unordered_map<Key, std::uint32_t, KeyHash> ids_;
+  std::vector<KeyState> keys_;  ///< by key id
+  std::uint32_t next_loop_ = 0;
+  LoopSet open_loops_;  ///< the open keys that have a loop number
+  /// The traversal stack: per open frame, the context its subtree has
+  /// accumulated so far.
+  std::vector<Context> frames_;
+  std::vector<bool> published_;  ///< by node id; see published()
   std::unordered_map<const Port*, const Connection*> feed_;
   std::unordered_map<Symbol, std::vector<const Block*>> writers_;
 };

@@ -22,7 +22,11 @@
 //
 // Results are memoised on (port, channels, class), so the output is a DAG in
 // which shared causes appear once -- this both keeps synthesis near-linear
-// in model size and makes common-cause dependencies explicit.
+// in model size and makes common-cause dependencies explicit. A result
+// computed inside a feedback loop depends on which loop frames were open:
+// its memo entry records the open frames it was cut against and the loop
+// keys it expanded, and is reused wherever a fresh traversal would cut and
+// expand at the same keys (docs/ALGORITHM.md section 3).
 
 #pragma once
 
@@ -74,12 +78,15 @@ struct SynthesisOptions {
 
   /// Memoise (port, channels, class) resolutions, producing a shared DAG.
   /// Disabling re-expands shared subtrees into a plain tree -- exponentially
-  /// larger on replicated architectures (ablation: bench_synthesis).
+  /// larger on replicated architectures (ablation: bench_synthesis). That
+  /// plain traversal is the reference the memo is tested against: both
+  /// give the same tree after deduplicate().
   bool memoise = true;
 
   /// Run a structural hash-consing pass (fta/simplify.h deduplicate) over
-  /// the result, collapsing identical subtrees that escaped memoisation
-  /// (loop-cut regions are deliberately not memoised). Semantics-neutral.
+  /// the result, collapsing identical subtrees that memoisation did not
+  /// share: equal results of different keys, or the same key reached in
+  /// different loop contexts. Semantics-neutral.
   bool deduplicate = true;
 
   /// Degraded-mode synthesis: when a sink is given, an unresolvable

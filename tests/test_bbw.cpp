@@ -6,9 +6,11 @@
 
 #include <algorithm>
 
+#include "analysis/cutsets.h"
 #include "analysis/report.h"
 #include "casestudy/setta.h"
 #include "core/error.h"
+#include "fta/simplify.h"
 #include "fta/synthesis.h"
 
 namespace ftsynth {
@@ -229,6 +231,93 @@ TEST_F(BbwTest, ControlLoopsAreCutNotInfinite) {
   ASSERT_NE(tree.top(), nullptr);
   EXPECT_GE(synthesiser.stats().loops_cut, 1u)
       << "the BBW/ACC control loops must be detected and cut";
+}
+
+// -- loop-aware memoisation -----------------------------------------------------------
+
+std::vector<std::string> cut_set_keys(const FaultTree& tree) {
+  std::vector<std::string> out;
+  for (const CutSet& cut_set : minimal_cut_sets(tree).cut_sets) {
+    std::string key;
+    for (const CutLiteral& literal : cut_set) {
+      key += literal.negated ? "!" : "";
+      key += literal.event->name().view();
+      key += " ";
+    }
+    out.push_back(std::move(key));
+  }
+  return out;
+}
+
+/// Every (boundary output x class) whose tree survives pruning: the top
+/// events `ftsynth analyse` derives when none is given.
+std::vector<Deviation> default_tops(const Model& model) {
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<Deviation> tops;
+  for (const Port* port : model.root().outputs()) {
+    for (FailureClass cls : model.registry().all()) {
+      const Deviation top{cls, port->name()};
+      if (Synthesiser(model, prune).synthesise(top).top() != nullptr)
+        tops.push_back(top);
+    }
+  }
+  return tops;
+}
+
+TEST_F(BbwTest, LoopMemoMatchesTheUnmemoisedTraversal) {
+  SynthesisOptions reference;
+  reference.memoise = false;
+  for (const Deviation& top : default_tops(*full_)) {
+    if (top.failure_class.view() != "Value") continue;
+    const std::string name = top.to_string();
+    Synthesiser memoised(*full_);
+    FaultTree tree = memoised.synthesise(top);
+    ASSERT_NE(tree.top(), nullptr) << name;
+    EXPECT_GE(memoised.stats().loops_cut, 1u) << name;
+    FaultTree unfolded = Synthesiser(*full_, reference).synthesise(top);
+    EXPECT_EQ(structural_hash(tree), structural_hash(unfolded)) << name;
+    EXPECT_EQ(cut_set_keys(tree), cut_set_keys(unfolded)) << name;
+  }
+}
+
+TEST_F(BbwTest, LoopRegionsAreResolvedOnce) {
+  // Without loop-aware reuse, every visit to a control loop re-expanded it:
+  // 386,281 resolutions over these tops. The bound keeps that from
+  // returning unnoticed, with no timing involved.
+  SynthesisOptions options;
+  options.deduplicate = false;
+  std::vector<Deviation> tops = default_tops(*full_);
+  EXPECT_EQ(tops.size(), 22u);
+  std::size_t resolutions = 0;
+  for (const Deviation& top : tops) {
+    Synthesiser synthesiser(*full_, options);
+    synthesiser.synthesise(top);
+    resolutions += synthesiser.stats().resolutions;
+  }
+  EXPECT_LE(resolutions, 20000u);
+}
+
+TEST_F(BbwTest, BudgetCutsInsideLoopsStayVisible) {
+  for (const bool depth : {true, false}) {
+    SynthesisOptions options;
+    if (depth) {
+      options.budget.max_depth = 6;
+    } else {
+      options.budget.max_nodes = 40;
+    }
+    Synthesiser synthesiser(*full_, options);
+    FaultTree tree = synthesiser.synthesise("Value-total_braking");
+    ASSERT_NE(tree.top(), nullptr);
+    const BudgetReport& budget = synthesiser.stats().budget;
+    EXPECT_TRUE(depth ? budget.depth_limited : budget.truncated);
+    bool marked = false;
+    tree.for_each_reachable([&](const FtNode& node) {
+      if (node.name().view().rfind("und:budget:", 0) == 0) marked = true;
+    });
+    EXPECT_TRUE(marked);
+    EXPECT_FALSE(minimal_cut_sets(tree).cut_sets.empty());
+  }
 }
 
 TEST_F(BbwTest, ConfigurationsAreValidated) {

@@ -7,6 +7,7 @@
 
 #include "analysis/report.h"
 #include "casestudy/fuel.h"
+#include "fta/simplify.h"
 #include "fta/synthesis.h"
 #include "mdl/parser.h"
 #include "mdl/writer.h"
@@ -101,6 +102,29 @@ TEST(Fuel, ControlLoopIsDetectedAndCut) {
   FaultTree tree = synthesiser.synthesise("Omission-engine_feed");
   ASSERT_NE(tree.top(), nullptr);
   EXPECT_GE(synthesiser.stats().loops_cut, 1u);
+}
+
+TEST(Fuel, LoopMemoMatchesTheUnmemoisedTraversal) {
+  Model model = fuel::build_fuel_system();
+  SynthesisOptions reference;
+  reference.memoise = false;
+  auto cut_sets = [](const FaultTree& tree) {
+    std::vector<std::vector<std::string>> out;
+    for (const CutSet& cut_set : minimal_cut_sets(tree).cut_sets) {
+      std::vector<std::string> names;
+      for (const CutLiteral& literal : cut_set)
+        names.push_back((literal.negated ? "!" : "") +
+                        std::string(literal.event->name().view()));
+      out.push_back(std::move(names));
+    }
+    return out;
+  };
+  for (const std::string& top : fuel::fuel_top_events()) {
+    FaultTree memoised = Synthesiser(model).synthesise(top);
+    FaultTree unfolded = Synthesiser(model, reference).synthesise(top);
+    EXPECT_EQ(structural_hash(memoised), structural_hash(unfolded)) << top;
+    EXPECT_EQ(cut_sets(memoised), cut_sets(unfolded)) << top;
+  }
 }
 
 TEST(Fuel, RoundTripsThroughTheTextFormat) {

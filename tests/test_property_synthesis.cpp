@@ -45,6 +45,15 @@ TEST_P(SynthesisAgreesWithSimulation, ExhaustivelyOnRandomModels) {
   ASSERT_NE(tree.top(), nullptr);
   BddEncoding encoding = encode_bdd(tree);
 
+  if (config.with_loops) {
+    // Results reused inside loops must equal the memo-free traversal.
+    SynthesisOptions reference;
+    reference.memoise = false;
+    FaultTree unfolded = Synthesiser(model, reference).synthesise(top);
+    EXPECT_EQ(structural_hash(tree), structural_hash(unfolded))
+        << "seed " << seed;
+  }
+
   PropagationEngine engine(model);
 
   // Enumerable leaf universe: every malfunction and data-condition event

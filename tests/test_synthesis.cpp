@@ -188,6 +188,53 @@ TEST(Synthesis, TriggerOmissionIsAutomatic) {
             (std::vector<std::string>{"m/task.bug"}));
 }
 
+TEST(Synthesis, TriggerOmissionDoesNotLeakIntoASharedGate) {
+  // Subsystem s has a grounded inner output, so its Omission-y tree is
+  // just its own hardware OR gate -- one memoised node read by a triggered
+  // block d and a plain block e. d's trigger omission must not be OR-ed
+  // into that shared gate, or it would reach e too.
+  ModelBuilder b("m");
+  Block& s = b.subsystem(b.root(), "s");
+  b.ground(s, "g");
+  b.outport(s, "y");
+  b.connect(s, "g.out", "y");
+  b.malfunction(s, "hw1", 1e-6);
+  b.malfunction(s, "hw2", 1e-6);
+  b.annotate(s, "Omission-y", "hw1 OR hw2");
+  Block& clock = b.basic(b.root(), "clock");
+  b.out(clock, "tick");
+  b.malfunction(clock, "hung", 1e-7);
+  b.annotate(clock, "Omission-tick", "hung");
+  for (const char* name : {"d", "e"}) {
+    Block& stage = b.basic(b.root(), name);
+    b.in(stage, "x");
+    b.out(stage, "y");
+    b.annotate(stage, "Omission-y", "Omission-x");
+    b.connect(b.root(), "s.y", std::string(name) + ".x");
+    if (std::string_view(name) == "d") b.trigger(stage, "go");
+  }
+  b.connect(b.root(), "clock.tick", "d.go");
+  Block& top = b.basic(b.root(), "top");
+  b.in(top, "a");
+  b.in(top, "b");
+  b.out(top, "y");
+  b.annotate(top, "Omission-y", "Omission-a AND Omission-b");
+  b.connect(b.root(), "d.y", "top.a");
+  b.connect(b.root(), "e.y", "top.b");
+  b.outport(b.root(), "out");
+  b.connect(b.root(), "top.y", "out");
+  Model model = b.take();
+
+  const std::vector<std::string> expected{"m/s.hw1", "m/s.hw2"};
+  EXPECT_EQ(cut_set_names(Synthesiser(model).synthesise("Omission-out")),
+            expected);
+  SynthesisOptions options;
+  options.memoise = false;
+  EXPECT_EQ(
+      cut_set_names(Synthesiser(model, options).synthesise("Omission-out")),
+      expected);
+}
+
 TEST(Synthesis, FeedbackLoopIsCutToLeastFixpoint) {
   // a.y = dead_a OR Omission-x where x is fed by b; b.y = dead_b OR a.y:
   // a classic two-block loop.
