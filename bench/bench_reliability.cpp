@@ -10,6 +10,7 @@
 #include "analysis/importance.h"
 #include "analysis/probability.h"
 #include "casestudy/setta.h"
+#include "casestudy/synthetic.h"
 #include "fta/synthesis.h"
 
 namespace {
@@ -99,5 +100,65 @@ void BM_ImportanceRankingBbw(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(entries);
 }
 BENCHMARK(BM_ImportanceRankingBbw);
+
+// The analysis tail on the inputs where it dominates (the lanes of the
+// perfbench `lanes_cutsets` workload). adv14: the 14-pair adversarial
+// product, whose whole-tree BDD has 32,766 nodes, so RAW/RRW's 56
+// conditional evaluations are the cost. c4s19: 4 replicated lanes of 19
+// stages, 130,325 minimal cut sets, so putting the family in canonical
+// order and pricing it are the cost.
+struct LaneFixture {
+  explicit LaneFixture(const Model& model)
+      : tree(Synthesiser(model).synthesise("Omission-sink")) {}
+  FaultTree tree;
+};
+
+const LaneFixture& adversarial_fixture() {
+  static const LaneFixture instance(synthetic::build_adversarial_product(14));
+  return instance;
+}
+
+const LaneFixture& replicated_fixture() {
+  static const LaneFixture instance([] {
+    synthetic::ReplicatedConfig config;
+    config.channels = 4;
+    config.stages = 19;
+    return synthetic::build_replicated(config);
+  }());
+  return instance;
+}
+
+void BM_ImportanceAdversarialProduct(benchmark::State& state) {
+  const FaultTree& tree = adversarial_fixture().tree;
+  CutSetOptions cut_options;
+  cut_options.engine = CutSetEngine::kZbdd;
+  cut_options.order = OrderPolicy::kSift;
+  const CutSetAnalysis cut_sets = compute_cut_sets(tree, cut_options);
+  ProbabilityOptions options;
+  options.mission_time_hours = 1000.0;
+  double p = 0.0;
+  for (auto _ : state) {
+    ReliabilitySummary summary = analyse_reliability(tree, cut_sets, options);
+    p = summary.p_exact;
+    benchmark::DoNotOptimize(summary.importance.data());
+  }
+  state.counters["p_exact"] = p;
+  state.counters["cut_sets"] = static_cast<double>(cut_sets.cut_sets.size());
+}
+BENCHMARK(BM_ImportanceAdversarialProduct)->Unit(benchmark::kMillisecond);
+
+void BM_CanonicaliseLargeFamily(benchmark::State& state) {
+  const FaultTree& tree = replicated_fixture().tree;
+  CutSetOptions options;
+  options.engine = CutSetEngine::kZbdd;
+  std::size_t sets = 0;
+  for (auto _ : state) {
+    CutSetAnalysis analysis = compute_cut_sets(tree, options);
+    sets = analysis.cut_sets.size();
+    benchmark::DoNotOptimize(analysis.cut_sets.data());
+  }
+  state.counters["cut_sets"] = static_cast<double>(sets);
+}
+BENCHMARK(BM_CanonicaliseLargeFamily)->Unit(benchmark::kMillisecond);
 
 }  // namespace

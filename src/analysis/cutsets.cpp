@@ -138,7 +138,8 @@ bool set_less(const Set& a, const Set& b) noexcept {
   return false;
 }
 
-/// Shared bookkeeping: the literal interning table and limit tracking.
+/// Shared bookkeeping: the literal interning table, the canonical-order
+/// table and limit tracking.
 class Context {
  public:
   explicit Context(const CutSetOptions& options)
@@ -148,7 +149,12 @@ class Context {
   /// literal_id() lookup and bitset width derives from this table, so it
   /// must run before any set is built. Pass the depth-first occurrence
   /// order (analysis/ordering.h) for the canonical id assignment.
-  void intern(std::vector<const FtNode*> events) {
+  ///
+  /// Also ranks the events by name once and looks each one up once in
+  /// `original`, the tree the caller passed in (the engines may run on a
+  /// normalised copy), so finish() orders and emits sets on integer keys
+  /// alone. Event names are unique per tree, so rank order is name order.
+  void intern(std::vector<const FtNode*> events, const FaultTree& original) {
     events_ = std::move(events);
     event_index_.reserve(events_.size());
     name_index_.reserve(events_.size());
@@ -157,6 +163,22 @@ class Context {
       name_index_.emplace(events_[i]->name(), static_cast<int>(i));
     }
     words_ = (2 * events_.size() + 63) / 64;
+
+    by_name_.resize(events_.size());
+    for (std::size_t i = 0; i < events_.size(); ++i)
+      by_name_[i] = static_cast<std::uint32_t>(i);
+    std::sort(by_name_.begin(), by_name_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return events_[a]->name() < events_[b]->name();
+              });
+    key_of_.resize(2 * events_.size());
+    leaves_.resize(events_.size());
+    for (std::size_t rank = 0; rank < by_name_.size(); ++rank) {
+      const std::size_t i = by_name_[rank];
+      key_of_[2 * i] = static_cast<std::uint32_t>(2 * rank);
+      key_of_[2 * i + 1] = static_cast<std::uint32_t>(2 * rank + 1);
+      leaves_[rank] = original.find_event(events_[i]->name());
+    }
   }
 
   /// Amortised deadline probe for the engines' hot loops. Once it fires
@@ -235,44 +257,74 @@ class Context {
     return kept;
   }
 
+  /// Canonical result: literals sorted by (event name, polarity), sets by
+  /// (size, literals). Each set becomes its sorted keys 2 * rank + negated
+  /// (a flat array), the sets are ordered on those keys, and every literal
+  /// is emitted pointing at the original tree's leaf. Bitsets are freed as
+  /// they are consumed, so the family is never held twice.
   CutSetAnalysis finish(std::vector<Set> sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
     analysis.deadline_exceeded = deadline_exceeded_;
     analysis.peak_sets = peak_sets_;
-    analysis.cut_sets.reserve(sets.size());
-    for (const Set& set : sets) {
-      CutSet cs;
-      cs.reserve(set.count);
+    std::size_t literals = 0;
+    for (const Set& set : sets) literals += set.count;
+    std::vector<std::uint32_t> keys;
+    keys.reserve(literals);
+    std::vector<std::size_t> offsets;
+    offsets.reserve(sets.size() + 1);
+    offsets.push_back(0);
+    for (Set& set : sets) {
+      const std::size_t begin = keys.size();
       for (std::size_t w = 0; w < set.words.size(); ++w) {
         std::uint64_t bits = set.words[w];
         while (bits != 0) {
-          const int lit = static_cast<int>(w * 64) + std::countr_zero(bits);
+          const std::size_t lit = w * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(bits));
           bits &= bits - 1;
-          cs.push_back({events_[static_cast<std::size_t>(lit / 2)],
-                        (lit & 1) != 0});
+          keys.push_back(key_of_[lit]);
         }
       }
-      std::sort(cs.begin(), cs.end(), [](const CutLiteral& a,
-                                         const CutLiteral& b) {
-        if (a.event->name() != b.event->name())
-          return a.event->name() < b.event->name();
-        return a.negated < b.negated;
-      });
+      std::sort(keys.begin() + static_cast<std::ptrdiff_t>(begin), keys.end());
+      offsets.push_back(keys.size());
+      std::vector<std::uint64_t>().swap(set.words);
+    }
+    std::vector<Set>().swap(sets);
+
+    std::vector<std::uint32_t> order(offsets.size() - 1);
+    for (std::size_t i = 0; i < order.size(); ++i)
+      order[i] = static_cast<std::uint32_t>(i);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::size_t size_a = offsets[a + 1] - offsets[a];
+                const std::size_t size_b = offsets[b + 1] - offsets[b];
+                if (size_a != size_b) return size_a < size_b;
+                const std::uint32_t* ka = keys.data() + offsets[a];
+                const std::uint32_t* kb = keys.data() + offsets[b];
+                return std::lexicographical_compare(ka, ka + size_a, kb,
+                                                    kb + size_b);
+              });
+
+    analysis.cut_sets.reserve(order.size());
+    for (const std::uint32_t index : order) {
+      CutSet cs;
+      cs.reserve(offsets[index + 1] - offsets[index]);
+      for (std::size_t k = offsets[index]; k < offsets[index + 1]; ++k) {
+        const std::uint32_t rank = keys[k] >> 1;
+        const FtNode* leaf = leaves_[rank];
+        if (leaf == nullptr) [[unlikely]]
+          invented_leaf(rank);
+        cs.push_back({leaf, (keys[k] & 1) != 0});
+      }
       analysis.cut_sets.push_back(std::move(cs));
     }
-    std::sort(analysis.cut_sets.begin(), analysis.cut_sets.end(),
-              [](const CutSet& a, const CutSet& b) {
-                if (a.size() != b.size()) return a.size() < b.size();
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                  if (a[i].event->name() != b[i].event->name())
-                    return a[i].event->name() < b[i].event->name();
-                  if (a[i].negated != b[i].negated)
-                    return a[i].negated < b[i].negated;
-                }
-                return false;
-              });
     return analysis;
+  }
+
+  /// The original tree's leaf behind interned event `index` (null for a
+  /// leaf the normalised copy invented).
+  const FtNode* original_leaf(std::size_t index) const {
+    return leaves_[key_of_[2 * index] >> 1];
   }
 
   void track_peak(std::size_t size) noexcept {
@@ -287,7 +339,18 @@ class Context {
   Budget budget_;  ///< run-local copy (amortised deadline tick)
   std::unordered_map<const FtNode*, int> event_index_;
   std::unordered_map<Symbol, int> name_index_;
+  /// The engines run on a temporary normalised copy of the tree; a
+  /// finished literal whose name the original lacks is a bug.
+  [[noreturn]] void invented_leaf(std::uint32_t rank) const {
+    throw Error(ErrorKind::kInternal,
+                "normalised tree invented leaf '" +
+                    events_[by_name_[rank]]->name().str() + "'");
+  }
+
   std::vector<const FtNode*> events_;
+  std::vector<std::uint32_t> by_name_;  ///< rank -> interned index
+  std::vector<std::uint32_t> key_of_;   ///< literal id -> 2 * rank + negated
+  std::vector<const FtNode*> leaves_;   ///< rank -> original tree's leaf
   std::size_t words_ = 0;
   bool truncated_ = false;
   bool deadline_exceeded_ = false;
@@ -745,21 +808,6 @@ class Mocus {
   const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
 };
 
-/// The engines run on a temporary normalised copy of the tree; its nodes
-/// die with it. Remap every literal to the equally-named leaf of the
-/// original tree before returning.
-void remap_events(CutSetAnalysis& analysis, const FaultTree& original) {
-  for (CutSet& cs : analysis.cut_sets) {
-    for (CutLiteral& literal : cs) {
-      const FtNode* mapped = original.find_event(literal.event->name());
-      check_internal(mapped != nullptr,
-                     "normalised tree invented leaf '" +
-                         literal.event->name().str() + "'");
-      literal.event = mapped;
-    }
-  }
-}
-
 }  // namespace
 
 ConeKeyspace cone_keyspace(const CutSetOptions& options) {
@@ -790,7 +838,7 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
                                 const CutSetOptions& options) {
   FaultTree flat = normalise(tree);
   Context context(options);
-  context.intern(dfs_variable_order(flat));
+  context.intern(dfs_variable_order(flat), tree);
   ConeCache* cache = usable_cache(options, "micsup");
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
@@ -798,16 +846,14 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
   BottomUp engine(flat, context, cache, &hashes);
   std::vector<Set> sets = engine.run();
   if (cache != nullptr && context.clean()) engine.store_cones();
-  CutSetAnalysis analysis = context.finish(std::move(sets));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(std::move(sets));
 }
 
 CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
                               const CutSetOptions& options) {
   FaultTree flat = normalise(tree);
   Context context(options);
-  context.intern(dfs_variable_order(flat));
+  context.intern(dfs_variable_order(flat), tree);
   ConeCache* cache = usable_cache(options, "mocus");
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
@@ -823,9 +869,7 @@ CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
       cache->note_oversize_skip();
     }
   }
-  CutSetAnalysis analysis = context.finish(std::move(sets));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(std::move(sets));
 }
 
 CutSetAnalysis compute_cut_sets(const FaultTree& tree,
@@ -883,7 +927,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
-  context.intern(order);
+  context.intern(order, tree);
   if (flat.top() == nullptr) return context.finish({});
 
   ConeCache* cache = usable_cache(options, "zbdd");
@@ -893,7 +937,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           cached_root_analysis(flat, hashes, cache, context)) {
     // The whole tree's family is cached: skip the diagram entirely (and
     // the ordering policy with it -- there is no diagram to reorder).
-    remap_events(*hit, tree);
     return std::move(*hit);
   }
 
@@ -1574,7 +1617,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
 
   CutSetAnalysis analysis = context.finish(context.clamp(std::move(sets)));
   analysis.reorder = std::move(report);
-  remap_events(analysis, tree);
 
   if (options.keep_diagram) {
     // The manager outlives this frame inside the handle: detach the
@@ -1585,12 +1627,12 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     diagram_handle->root = root;
     diagram_handle->exact = conversion_complete;
     diagram_handle->events.reserve(order.size());
-    // Same remap as cut-set literals: variable 2r/2r+1 -> the original
+    // Same leaves as cut-set literals: variable 2r/2r+1 -> the original
     // tree's equally-named leaf (null only for a leaf the normalised copy
-    // invented, which remap_events above would have rejected for any
-    // literal actually reachable).
-    for (const FtNode* event : order)
-      diagram_handle->events.push_back(tree.find_event(event->name()));
+    // invented, which finish() above would have rejected for any literal
+    // actually reachable).
+    for (std::size_t r = 0; r < order.size(); ++r)
+      diagram_handle->events.push_back(context.original_leaf(r));
     analysis.diagram = std::move(diagram_handle);
   }
   return analysis;
@@ -1683,7 +1725,7 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
 
   BddEncoding encoding = encode_bdd(tree);
   Context context(options);
-  context.intern(encoding.events);
+  context.intern(encoding.events, tree);
   if (tree.top() == nullptr) return context.finish({});
 
   MinimalSolutions engine(encoding.bdd);
@@ -1725,11 +1767,9 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
   enumerate(enumerate, solutions);
   if (truncated_paths) context.mark_truncated();
 
-  CutSetAnalysis analysis = context.finish(
-      context.deadline_hit() ? std::move(sets)
-                             : minimise(std::move(sets), &context));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(context.deadline_hit()
+                            ? std::move(sets)
+                            : minimise(std::move(sets), &context));
 }
 
 // -- Anytime bound engine --------------------------------------------------------
@@ -1739,7 +1779,7 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
-  context.intern(order);
+  context.intern(order, tree);
 
   // The frontier is probability-driven, so the basic probabilities enter
   // here rather than at the reporting stage; polarity adjustment happens
@@ -1789,7 +1829,6 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   stats.subsumed = outcome.stats.subsumed;
   stats.deferred = outcome.stats.deferred;
   analysis.frontier_stats = stats;
-  remap_events(analysis, tree);
   return analysis;
 }
 

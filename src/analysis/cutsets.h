@@ -181,7 +181,7 @@ struct CutSetDiagram {
   Zbdd zbdd;
   Zbdd::Ref root = Zbdd::kEmpty;
   /// events[r] owns ZBDD variables 2r (plain) and 2r + 1 (negated).
-  /// Pointers into the ORIGINAL analysed tree, remapped exactly like
+  /// Pointers into the ORIGINAL analysed tree, mapped exactly like
   /// cut-set literals; null for variables absent from the diagram.
   std::vector<const FtNode*> events;
   /// True when the symbolic conversion ran to completion: the diagram is

@@ -86,10 +86,13 @@ std::vector<FmeaRow> synthesise_fmea(
       // partial) family numbers, the classic degradation.
     }
 
-    const double total = rare_event_bound(analysis, options);
+    // Family regime: one pass prices every set (probability.h).
+    const FamilyProbability family = family_probability(analysis, options);
+    const double total = family.rare_event;
 
-    for (const CutSet& cs : analysis.cut_sets) {
-      const double p = cut_set_probability(cs, options);
+    for (std::size_t k = 0; k < analysis.cut_sets.size(); ++k) {
+      const CutSet& cs = analysis.cut_sets[k];
+      const double p = family.set_probability[k];
       for (const CutLiteral& literal : cs) {
         if (literal.negated) continue;  // an inhibitor is not a failure mode
         if (literal.event->kind() != NodeKind::kBasic) continue;

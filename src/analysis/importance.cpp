@@ -1,8 +1,8 @@
 #include "analysis/importance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "bdd/bdd_prob.h"
 #include "bdd/zbdd_prob.h"
@@ -32,9 +32,40 @@ std::size_t min_nonzero(std::size_t a, std::size_t b) noexcept {
 /// of sets mentioning the event, and the mass of those sets with the
 /// mentioning literal forced true, per polarity.
 struct RareEventMasses {
+  bool seen = false;  ///< some set mentions the event
   double with_literal = 0.0;
   double pos_without = 0.0;
   double neg_without = 0.0;
+};
+
+/// Basic event -> position in the entry table, by node id (dense per
+/// tree). Leaves that are not basic events of the tree -- undeveloped and
+/// loop leaves, or another tree's node on the same id -- are absent.
+class EntryIndex {
+ public:
+  explicit EntryIndex(const std::vector<ImportanceEntry>& entries)
+      : entries_(entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const std::size_t id = static_cast<std::size_t>(entries[i].event->id());
+      if (id >= slots_.size()) slots_.resize(id + 1, kAbsent);
+      slots_[id] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// Position of `event`'s entry, or kAbsent.
+  std::uint32_t find(const FtNode* event) const noexcept {
+    const std::size_t id = static_cast<std::size_t>(event->id());
+    if (id >= slots_.size()) return kAbsent;
+    const std::uint32_t slot = slots_[id];
+    if (slot == kAbsent || entries_[slot].event != event) return kAbsent;
+    return slot;
+  }
+
+  static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
+
+ private:
+  const std::vector<ImportanceEntry>& entries_;
+  std::vector<std::uint32_t> slots_;
 };
 
 }  // namespace
@@ -44,9 +75,10 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const ProbabilityOptions& options,
                                        ProbMode mode) {
   ReliabilitySummary out;
-  std::unordered_map<const FtNode*, ImportanceEntry> entries;
+  std::vector<ImportanceEntry> entries;
   for (const FtNode* event : tree.basic_events())
-    entries.emplace(event, ImportanceEntry{event, 0.0, 0.0, 0.0, 0.0, 0, 0});
+    entries.push_back(ImportanceEntry{event, 0.0, 0.0, 0.0, 0.0, 0, 0});
+  const EntryIndex index(entries);
 
   // Bound-engine runs target trees where whole-tree BDD encoding is off
   // the table (that is why the caller chose the engine), so the exact
@@ -54,7 +86,7 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
   // precisely on those inputs. Birnbaum/RAW/RRW instead come from
   // rare-event conditionals over the emitted family.
   const bool bound_run = analysis.p_lower.has_value();
-  std::unordered_map<const FtNode*, RareEventMasses> rare_masses;
+  std::vector<RareEventMasses> rare_masses(bound_run ? entries.size() : 0);
 
   // The diagram regime: requested, an exact diagram is present, AND
   // extraction was cut short. On clean runs both modes evaluate the
@@ -95,9 +127,9 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     for (std::size_t r = 0; r < diagram->events.size(); ++r) {
       const FtNode* event = diagram->events[r];
       if (event == nullptr) continue;
-      auto it = entries.find(event);
-      if (it == entries.end()) continue;  // undeveloped / loop leaves
-      ImportanceEntry& entry = it->second;
+      const std::uint32_t slot = index.find(event);
+      if (slot == EntryIndex::kAbsent) continue;  // undeveloped / loop leaves
+      ImportanceEntry& entry = entries[slot];
       // Both polarities attribute to the event, exactly like the family
       // loop below (a set holding NOT x still counts against x).
       const double mass =
@@ -110,18 +142,22 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                          measures.var_min_order[2 * r + 1]);
     }
   } else {
-    // Classic path: Fussell-Vesely, counts and orders from the extracted
-    // family; bounds from probability.h.
-    out.p_rare_event = rare_event_bound(analysis, options);
-    out.p_esary_proschan = esary_proschan_bound(analysis, options);
-    out.p_mcub = mcub_bound(analysis, options);
+    // Classic path: one family pass (probability.h) gives the bounds and
+    // every set's probability; Fussell-Vesely, counts and orders follow
+    // in the same set order.
+    const FamilyProbability family = family_probability(analysis, options);
+    out.p_rare_event = family.rare_event;
+    out.p_esary_proschan = family.esary_proschan;
+    out.p_mcub = family.mcub;
+    EventProbabilities events(options);
     std::vector<double> literal_probs;
-    for (const CutSet& cs : analysis.cut_sets) {
-      const double p = cut_set_probability(cs, options);
+    for (std::size_t k = 0; k < analysis.cut_sets.size(); ++k) {
+      const CutSet& cs = analysis.cut_sets[k];
+      const double p = family.set_probability[k];
       for (const CutLiteral& literal : cs) {
-        auto it = entries.find(literal.event);
-        if (it == entries.end()) continue;  // undeveloped / loop leaves
-        ImportanceEntry& entry = it->second;
+        const std::uint32_t slot = index.find(literal.event);
+        if (slot == EntryIndex::kAbsent) continue;  // undeveloped / loop
+        ImportanceEntry& entry = entries[slot];
         if (out.p_rare_event > 0.0)
           entry.fussell_vesely += p / out.p_rare_event;
         ++entry.cut_set_count;
@@ -134,17 +170,16 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
       // rather than division by the literal's probability so zero-rate
       // events stay finite.
       literal_probs.clear();
-      for (const CutLiteral& literal : cs) {
-        const double q = event_probability(*literal.event, options);
-        literal_probs.push_back(literal.negated ? 1.0 - q : q);
-      }
+      for (const CutLiteral& literal : cs)
+        literal_probs.push_back(events.literal(literal));
       for (std::size_t j = 0; j < cs.size(); ++j) {
-        auto it = entries.find(cs[j].event);
-        if (it == entries.end()) continue;
+        const std::uint32_t slot = index.find(cs[j].event);
+        if (slot == EntryIndex::kAbsent) continue;
         double without = 1.0;
         for (std::size_t i = 0; i < cs.size(); ++i)
           if (i != j) without *= literal_probs[i];
-        RareEventMasses& m = rare_masses[cs[j].event];
+        RareEventMasses& m = rare_masses[slot];
+        m.seen = true;
         m.with_literal += p;
         if (cs[j].negated) m.neg_without += without;
         else m.pos_without += without;
@@ -160,29 +195,30 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     // p_exact stays 0: the interval in p_lower/p_upper is the probability
     // statement for these runs.
     const double s = out.p_rare_event;
-    for (const auto& [event, m] : rare_masses) {
-      auto it = entries.find(event);
-      if (it == entries.end()) continue;
+    for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+      const RareEventMasses& m = rare_masses[slot];
+      if (!m.seen) continue;
+      ImportanceEntry& entry = entries[slot];
       const double s_with = s - m.with_literal + m.pos_without;
       const double s_without = s - m.with_literal + m.neg_without;
-      it->second.birnbaum = m.pos_without - m.neg_without;
-      it->second.raw = s > 0.0 ? s_with / s : 0.0;
-      it->second.rrw =
+      entry.birnbaum = m.pos_without - m.neg_without;
+      entry.raw = s > 0.0 ? s_with / s : 0.0;
+      entry.rrw =
           s_without > 0.0 ? s / s_without
           : s > 0.0       ? std::numeric_limits<double>::infinity()
                           : 0.0;
     }
   } else {
     // Exact probability plus Birnbaum/RAW/RRW for every event from ONE
-    // BDD encoding. The shared-memo engine computes P(top); the combined
-    // upward/downward sweep then yields all Birnbaum measures in O(N)
-    // where the per-variable restrict loop paid O(V*N). RAW and RRW keep
-    // the restricted evaluations: deriving P(top | v = b) from the sweep
-    // via P(top) - p_v * BM(v) cancels catastrophically when the
-    // conditioned probability is orders of magnitude below P(top) --
-    // exactly the rare events RRW exists to rank -- while the cofactor
-    // evaluations reuse the engine's probability memo, so each one
-    // touches only the nodes the restriction actually changed.
+    // BDD encoding. The engine indexes the root once and computes P(top);
+    // the combined upward/downward sweep then yields all Birnbaum
+    // measures in O(N) where the per-variable conditional loop paid
+    // O(V*N). RAW and RRW keep the conditional evaluations: deriving
+    // P(top | v = b) from the sweep via P(top) - p_v * BM(v) cancels
+    // catastrophically when the conditioned probability is orders of
+    // magnitude below P(top) -- exactly the rare events RRW exists to
+    // rank -- while each conditional is a flat loop over the index that
+    // re-evaluates only the levels at and above v.
     BddEncoding encoding = encode_bdd(tree);
     const std::vector<double> probabilities =
         encoding.probabilities(options);
@@ -191,33 +227,31 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     out.p_exact = p_top;
     const std::vector<double> birnbaum = engine.birnbaum_all(encoding.root);
     for (std::size_t v = 0; v < encoding.events.size(); ++v) {
-      auto it = entries.find(encoding.events[v]);
-      if (it == entries.end()) continue;
+      const std::uint32_t slot = index.find(encoding.events[v]);
+      if (slot == EntryIndex::kAbsent) continue;
+      ImportanceEntry& entry = entries[slot];
       const double bm = birnbaum[v];
       const double p_given =
           engine.probability_given(encoding.root, static_cast<int>(v), true);
       const double p_without = engine.probability_given(
           encoding.root, static_cast<int>(v), false);
-      it->second.birnbaum = bm;
-      it->second.raw = p_top > 0.0 ? p_given / p_top : 0.0;
-      it->second.rrw =
+      entry.birnbaum = bm;
+      entry.raw = p_top > 0.0 ? p_given / p_top : 0.0;
+      entry.rrw =
           p_without > 0.0 ? p_top / p_without
           : p_top > 0.0   ? std::numeric_limits<double>::infinity()
                           : 0.0;
     }
   }
 
-  std::vector<ImportanceEntry> ranking;
-  ranking.reserve(entries.size());
-  for (auto& [event, entry] : entries) ranking.push_back(entry);
-  std::sort(ranking.begin(), ranking.end(),
+  std::sort(entries.begin(), entries.end(),
             [](const ImportanceEntry& a, const ImportanceEntry& b) {
               if (a.fussell_vesely != b.fussell_vesely)
                 return a.fussell_vesely > b.fussell_vesely;
               if (a.birnbaum != b.birnbaum) return a.birnbaum > b.birnbaum;
               return a.event->name() < b.event->name();
             });
-  out.importance = std::move(ranking);
+  out.importance = std::move(entries);
   return out;
 }
 

@@ -31,12 +31,13 @@ struct ImportanceEntry {
 };
 
 /// Every probability-stage number of one tree analysis, computed together
-/// so the expensive artefacts are built once: one BDD encoding serves the
-/// exact top probability, the O(N) all-variables Birnbaum sweep and the
-/// memo-sharing restricted evaluations behind RAW/RRW, and -- in the
-/// diagram regime -- one set of ZBDD
-/// measure sweeps serves Fussell-Vesely, the rare-event and Esary-Proschan
-/// bounds, the per-event set counts and the smallest orders.
+/// so the expensive artefacts are built once: one BDD encoding and one
+/// dense index of its root serve the exact top probability, the O(N)
+/// all-variables Birnbaum sweep and the conditional evaluations behind
+/// RAW/RRW; one family pass (probability.h, family_probability) -- or, in
+/// the diagram regime, one set of ZBDD measure sweeps -- serves
+/// Fussell-Vesely, the rare-event and Esary-Proschan bounds, the per-event
+/// set counts and the smallest orders.
 struct ReliabilitySummary {
   std::vector<ImportanceEntry> importance;  ///< ranked as importance_ranking
   double p_exact = 0.0;          ///< exact P(top) on the BDD

@@ -39,31 +39,64 @@ double cut_set_probability(const CutSet& cut_set,
   return p;
 }
 
+double EventProbabilities::operator()(const FtNode& event) {
+  const std::size_t id = static_cast<std::size_t>(event.id());
+  if (id >= slots_.size()) slots_.resize(id + 1);
+  Slot& slot = slots_[id];
+  if (slot.event == &event) return slot.probability;
+  if (slot.event != nullptr) return event_probability(event, options_);
+  slot.event = &event;
+  slot.probability = event_probability(event, options_);
+  return slot.probability;
+}
+
+namespace {
+
+/// The one family pass behind family_probability and the three bound
+/// wrappers; `keep_sets` fills FamilyProbability::set_probability.
+FamilyProbability accumulate_family(const CutSetAnalysis& analysis,
+                                    const ProbabilityOptions& options,
+                                    bool keep_sets) {
+  EventProbabilities events(options);
+  FamilyProbability out;
+  double product = 1.0;  // prod (1 - P(cs)), the Esary-Proschan form
+  double log_q = 0.0;    // log prod (1 - P(cs)), accumulated without rounding
+  bool certain = false;  // a certain cut set saturates the MCUB
+  if (keep_sets) out.set_probability.reserve(analysis.cut_sets.size());
+  for (const CutSet& cs : analysis.cut_sets) {
+    double p = 1.0;
+    for (const CutLiteral& literal : cs) p *= events.literal(literal);
+    if (keep_sets) out.set_probability.push_back(p);
+    out.rare_event += p;
+    product *= 1.0 - p;
+    if (p >= 1.0) certain = true;
+    if (!certain) log_q += std::log1p(-p);
+  }
+  out.esary_proschan = 1.0 - product;
+  out.mcub = certain ? 1.0 : -std::expm1(log_q);
+  return out;
+}
+
+}  // namespace
+
+FamilyProbability family_probability(const CutSetAnalysis& analysis,
+                                     const ProbabilityOptions& options) {
+  return accumulate_family(analysis, options, true);
+}
+
 double rare_event_bound(const CutSetAnalysis& analysis,
                         const ProbabilityOptions& options) {
-  double sum = 0.0;
-  for (const CutSet& cs : analysis.cut_sets)
-    sum += cut_set_probability(cs, options);
-  return sum;
+  return accumulate_family(analysis, options, false).rare_event;
 }
 
 double esary_proschan_bound(const CutSetAnalysis& analysis,
                             const ProbabilityOptions& options) {
-  double product = 1.0;
-  for (const CutSet& cs : analysis.cut_sets)
-    product *= 1.0 - cut_set_probability(cs, options);
-  return 1.0 - product;
+  return accumulate_family(analysis, options, false).esary_proschan;
 }
 
 double mcub_bound(const CutSetAnalysis& analysis,
                   const ProbabilityOptions& options) {
-  double log_q = 0.0;  // log prod (1 - P(cs)), accumulated without rounding
-  for (const CutSet& cs : analysis.cut_sets) {
-    const double p = cut_set_probability(cs, options);
-    if (p >= 1.0) return 1.0;  // a certain cut set saturates the bound
-    log_q += std::log1p(-p);
-  }
-  return -std::expm1(log_q);
+  return accumulate_family(analysis, options, false).mcub;
 }
 
 namespace {

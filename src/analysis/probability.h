@@ -39,6 +39,46 @@ double event_probability(const FtNode& event, const ProbabilityOptions& options)
 double cut_set_probability(const CutSet& cut_set,
                            const ProbabilityOptions& options);
 
+/// event_probability() memoised per leaf, so a family pass pays one exp
+/// per event rather than one per literal. Slots are indexed by node id
+/// (dense per tree); a node of another tree that lands on a taken slot is
+/// simply evaluated directly.
+class EventProbabilities {
+ public:
+  explicit EventProbabilities(const ProbabilityOptions& options)
+      : options_(options) {}
+
+  double operator()(const FtNode& event);
+
+  /// One literal's factor in a cut-set product: q, or 1 - q when negated.
+  double literal(const CutLiteral& literal) {
+    const double q = (*this)(*literal.event);
+    return literal.negated ? (1.0 - q) : q;
+  }
+
+ private:
+  struct Slot {
+    const FtNode* event = nullptr;
+    double probability = 0.0;
+  };
+  const ProbabilityOptions& options_;
+  std::vector<Slot> slots_;
+};
+
+/// Every family-level number of a cut-set analysis from one pass: each
+/// set's probability is computed once (same literal order as
+/// cut_set_probability) and the bounds are accumulated in set order, so
+/// each figure is bit-identical to its stand-alone function below.
+struct FamilyProbability {
+  std::vector<double> set_probability;  ///< P(cs), in family order
+  double rare_event = 0.0;              ///< rare_event_bound
+  double esary_proschan = 0.0;          ///< esary_proschan_bound
+  double mcub = 0.0;                    ///< mcub_bound
+};
+
+FamilyProbability family_probability(const CutSetAnalysis& analysis,
+                                     const ProbabilityOptions& options);
+
 /// Sum of cut-set probabilities. Upper bound; accurate when all cut sets
 /// are rare.
 double rare_event_bound(const CutSetAnalysis& analysis,

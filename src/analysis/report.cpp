@@ -25,7 +25,7 @@ TreeAnalysis analyse_tree(const FaultTree& tree,
   analysis.cut_sets = compute_cut_sets(tree, cut_options);
   analysis.common_cause = analyse_common_cause(tree, analysis.cut_sets);
   // One call computes the whole probability stage: exact P(top) and all
-  // importance measures share a single BDD encoding and probability memo,
+  // importance measures share a single BDD encoding and its dense index,
   // and -- in the diagram regime -- the bounds, FV, counts and orders come
   // from ZBDD measure sweeps instead of the extracted family.
   ReliabilitySummary reliability = analyse_reliability(

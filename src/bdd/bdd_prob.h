@@ -5,14 +5,14 @@
 //
 //   P(node v) = p_v * P(high) + (1 - p_v) * P(low)
 //
-// BddProbabilityEngine is the batched form: one probability memo shared
-// across every query of an analysis (probability, conditionals, Birnbaum),
-// plus the O(N) all-variables Birnbaum sweep that replaces the per-variable
-// restrict-and-reevaluate loop (O(V*N) -> O(N)).
+// BddProbabilityEngine is the batched form: one dense index of the root
+// shared across every query of an analysis (probability, conditionals,
+// Birnbaum), plus the O(N) all-variables Birnbaum sweep that replaces the
+// per-variable conditional loop (O(V*N) -> O(N)).
 
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -25,58 +25,63 @@ double bdd_probability(const Bdd& bdd, Bdd::Ref f,
                        const std::vector<double>& probabilities);
 
 /// Birnbaum importance of variable `v`: P[f | v=1] - P[f | v=0], computed
-/// exactly on the BDD. Non-const: restriction may allocate nodes (existing
-/// references remain valid).
-double bdd_birnbaum(Bdd& bdd, Bdd::Ref f,
+/// exactly on the BDD.
+double bdd_birnbaum(const Bdd& bdd, Bdd::Ref f,
                     const std::vector<double>& probabilities, int v);
 
 /// Exact P[f | v = value] (conditional probability with the variable
-/// pinned). Non-const for the same reason as bdd_birnbaum.
-double bdd_probability_given(Bdd& bdd, Bdd::Ref f,
+/// pinned).
+double bdd_probability_given(const Bdd& bdd, Bdd::Ref f,
                              const std::vector<double>& probabilities, int v,
                              bool value);
 
 /// Batches probability queries over one BDD under one fixed probability
-/// vector, sharing a single probability memo across every call -- N
-/// importance queries reuse each other's subresults instead of recomputing
-/// the full bottom-up pass per variable.
+/// vector. The first query on a root indexes it once: its reachable nodes
+/// get dense ids (deepest level first, so every child precedes its
+/// parents), a flat node table and the unconditional P[node] of every
+/// node. Every later query on that root is a loop over dense arrays --
+/// no hashing, no recursion, no allocation beyond one scratch vector.
 ///
-/// Reordering audit: the shared probability memo maps Ref -> P[function],
-/// which swaps preserve, but restrict-based queries depend on the level
-/// order; the engine must not be used across a sift() of its diagram.
-/// (In practice the probability BDD is built under a static order and
-/// never sifted.) Restriction may allocate nodes; existing Refs -- and
-/// therefore memo entries -- remain valid.
+/// Memo audit: the engine keeps no hash memo. The dense tables hold one
+/// value per node, computed with the same expression as the Shannon
+/// recursion, p * P[high] + (1 - p) * P[low], so every result is
+/// bit-identical to a recursive evaluation (tests/test_kernels.cpp).
+///
+/// Reordering audit: the index records each node's level, so the engine
+/// must not be used across a sift() of its diagram. (In practice the
+/// probability BDD is built under a static order and never sifted.) No
+/// query allocates diagram nodes.
 class BddProbabilityEngine {
  public:
   /// `probabilities` must cover every variable appearing in any queried
   /// function; it is copied (queries must see a stable vector).
-  BddProbabilityEngine(Bdd& bdd, std::vector<double> probabilities);
+  BddProbabilityEngine(const Bdd& bdd, std::vector<double> probabilities);
 
-  /// Exact P[f = true]; memoised across all queries on this engine.
+  /// Exact P[f = true].
   double probability(Bdd::Ref f);
 
-  /// Exact P[f | v = value]. The restriction memo is per-call (it is
-  /// order-dependent); the probability memo is shared.
+  /// Exact P[f | v = value]: evaluated directly on the original diagram,
+  /// no cofactor is built. Nodes strictly below v's level cannot contain
+  /// v, so they keep their unconditional values; only the levels at and
+  /// above v are re-evaluated, as one flat loop over the index.
   double probability_given(Bdd::Ref f, int v, bool value);
 
-  /// Birnbaum importance of `v`: P[f | v=1] - P[f | v=0]. Both restricted
-  /// evaluations share the engine's probability memo.
+  /// Birnbaum importance of `v`: P[f | v=1] - P[f | v=0].
   double birnbaum(Bdd::Ref f, int v);
 
-  /// Birnbaum importance of EVERY variable in one combined pass: an upward
-  /// sweep computing P[node] for each reachable node and a downward sweep
-  /// computing each node's reachability weight R[node] (the probability
-  /// that the path from the root reaches it), then
+  /// Birnbaum importance of EVERY variable in one combined pass: the
+  /// upward values P[node] of the index and a downward sweep computing
+  /// each node's reachability weight R[node] (the probability that the
+  /// path from the root reaches it), then
   ///
   ///   BM(v) = sum over nodes n labelled v of R[n] * (P[high] - P[low])
   ///
-  /// -- exact, equal to the restrict-based definition, and O(N) total
+  /// -- exact, equal to the conditional definition, and O(N) total
   /// instead of O(V*N). The returned vector is indexed by variable and
   /// sized like the probability vector; variables not in `f` get 0.
-  /// Traversal and summation order are structure-determined (postorder,
-  /// low child first), so results are bit-identical across runs
-  /// regardless of Ref numbering.
+  /// The downward sweep runs in reverse postorder (low child first),
+  /// which is structure-determined, so results are bit-identical across
+  /// runs regardless of Ref numbering.
   std::vector<double> birnbaum_all(Bdd::Ref f);
 
   const std::vector<double>& probabilities() const noexcept {
@@ -84,9 +89,28 @@ class BddProbabilityEngine {
   }
 
  private:
-  Bdd& bdd_;
+  /// Builds the index of `f` unless it is already the indexed root.
+  void index(Bdd::Ref f);
+  /// Dense id of an indexed Ref: 0 and 1 are the terminals.
+  std::uint32_t id_of(Bdd::Ref ref) const {
+    return ref <= Bdd::kTrue ? ref : dense_[ref];
+  }
+
+  struct Node {
+    int var;
+    int level;
+    std::uint32_t low;   ///< dense id of the low child
+    std::uint32_t high;  ///< dense id of the high child
+  };
+
+  const Bdd& bdd_;
   std::vector<double> probabilities_;
-  std::unordered_map<Bdd::Ref, double> memo_;
+  Bdd::Ref root_ = Bdd::kFalse;      ///< the indexed root (kFalse: none)
+  std::vector<std::uint32_t> dense_; ///< Ref -> dense id, indexed roots only
+  std::vector<Node> nodes_;          ///< by dense id; 0 and 1 unused
+  std::vector<double> value_;        ///< P[node] by dense id
+  std::vector<std::uint32_t> postorder_;  ///< dense ids, low child first
+  std::vector<double> scratch_;      ///< conditional values by dense id
 };
 
 }  // namespace ftsynth

@@ -36,4 +36,8 @@ void check_internal(bool condition, const std::string& message) {
   if (!condition) throw Error(ErrorKind::kInternal, message);
 }
 
+void throw_internal(const char* message) {
+  throw Error(ErrorKind::kInternal, message);
+}
+
 }  // namespace ftsynth

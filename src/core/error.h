@@ -63,4 +63,15 @@ void require(bool condition, ErrorKind kind, const std::string& message);
 /// require() specialised for internal invariants (ErrorKind::kInternal).
 void check_internal(bool condition, const std::string& message);
 
+/// Throws Error{kInternal} with `message`; the out-of-line cold half of
+/// the literal overload below.
+[[noreturn]] void throw_internal(const char* message);
+
+/// check_internal() for a literal message: hot loops pay one branch, and
+/// the std::string is only built on the throwing path.
+inline void check_internal(bool condition, const char* message) {
+  if (!condition) [[unlikely]]
+    throw_internal(message);
+}
+
 }  // namespace ftsynth

@@ -1,5 +1,6 @@
 #include "ftp/openpsa_writer.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/error.h"
@@ -9,16 +10,59 @@ namespace ftsynth {
 
 namespace {
 
+/// Document-wide gate names. Gate names are only unique per tree (the
+/// synthesiser numbers "G<n>" afresh in every tree), but a MEF document
+/// has one gate namespace, so a gate whose name an earlier tree already
+/// took is qualified with its tree's name. A single-tree document keeps
+/// every name as it is.
+class GateNames {
+ public:
+  /// Names every gate of `tree`, plus the wrapper gate a leaf or empty top
+  /// needs (looked up under the null node).
+  void name_tree(const FaultTree& tree) {
+    names_.clear();
+    const FtNode* top = tree.top();
+    if (top == nullptr || top->is_leaf()) {
+      names_.emplace(nullptr, claim("top", tree.name()));
+      return;
+    }
+    names_.emplace(top, claim(std::string(top->name().view()), tree.name()));
+    tree.for_each_reachable([&](const FtNode& node) {
+      if (node.kind() != NodeKind::kGate || &node == top) return;
+      names_.emplace(&node,
+                     claim(std::string(node.name().view()), tree.name()));
+    });
+  }
+
+  /// The escaped document name of a gate of the current tree (null: the
+  /// wrapper gate).
+  const std::string& operator[](const FtNode* gate) const {
+    return names_.at(gate);
+  }
+
+ private:
+  std::string claim(const std::string& name, const std::string& tree) {
+    if (used_.insert(name).second) return escape_xml(name);
+    std::string chosen = tree + "." + name;
+    for (int n = 2; !used_.insert(chosen).second; ++n)
+      chosen = tree + "." + name + "." + std::to_string(n);
+    return escape_xml(chosen);
+  }
+
+  std::unordered_set<std::string> used_;
+  std::unordered_map<const FtNode*, std::string> names_;
+};
+
 /// Reference to `node` inside a gate formula. Leaves are referenced as
-/// basic/house events; gates by their (auto-assigned, per-tree unique)
-/// "G<n>" name.
-void write_reference(const FtNode& node, std::string& out,
-                     const std::string& indent) {
+/// basic/house events; gates by their document-wide name.
+void write_reference(const FtNode& node, const GateNames& gates,
+                     std::string& out, const std::string& indent) {
+  if (node.kind() == NodeKind::kGate) {
+    out += indent + "<gate name=\"" + gates[&node] + "\"/>\n";
+    return;
+  }
   const std::string name = escape_xml(node.name().view());
   switch (node.kind()) {
-    case NodeKind::kGate:
-      out += indent + "<gate name=\"" + name + "\"/>\n";
-      return;
     case NodeKind::kHouse:
       out += indent + "<house-event name=\"" + name + "\"/>\n";
       return;
@@ -28,7 +72,8 @@ void write_reference(const FtNode& node, std::string& out,
   }
 }
 
-void write_formula(const FtNode& gate, std::string& out) {
+void write_formula(const FtNode& gate, const GateNames& gates,
+                   std::string& out) {
   const char* connective = nullptr;
   switch (gate.gate()) {
     case GateKind::kAnd:
@@ -49,27 +94,28 @@ void write_formula(const FtNode& gate, std::string& out) {
   }
   out += "      <" + std::string(connective) + ">\n";
   for (const FtNode* child : gate.children())
-    write_reference(*child, out, "        ");
+    write_reference(*child, gates, out, "        ");
   out += "      </" + std::string(connective) + ">\n";
 }
 
 void write_gate(const FtNode& gate, const std::string& label,
-                std::string& out) {
-  out += "    <define-gate name=\"" + escape_xml(gate.name().view()) +
-         "\">\n";
+                const GateNames& gates, std::string& out) {
+  out += "    <define-gate name=\"" + gates[&gate] + "\">\n";
   if (!label.empty())
     out += "      <label>" + escape_xml(label) + "</label>\n";
-  write_formula(gate, out);
+  write_formula(gate, gates, out);
   out += "    </define-gate>\n";
 }
 
-void write_fault_tree(const FaultTree& tree, std::string& out) {
+void write_fault_tree(const FaultTree& tree, GateNames& gates,
+                      std::string& out) {
   out += "  <define-fault-tree name=\"" + escape_xml(tree.name()) + "\">\n";
+  gates.name_tree(tree);
   const FtNode* top = tree.top();
   if (top == nullptr) {
     // Impossible top: a constant-false root gate imports back to the
     // null-top convention (probability 0).
-    out += "    <define-gate name=\"top\">\n";
+    out += "    <define-gate name=\"" + gates[nullptr] + "\">\n";
     if (!tree.top_description().empty()) {
       out += "      <label>" + escape_xml(tree.top_description()) +
              "</label>\n";
@@ -82,13 +128,13 @@ void write_fault_tree(const FaultTree& tree, std::string& out) {
   if (top->is_leaf()) {
     // A bare-leaf top needs a wrapper gate; single-operand connectives
     // collapse on import, so the wrapper leaves no structural trace.
-    out += "    <define-gate name=\"top\">\n";
+    out += "    <define-gate name=\"" + gates[nullptr] + "\">\n";
     if (!tree.top_description().empty()) {
       out += "      <label>" + escape_xml(tree.top_description()) +
              "</label>\n";
     }
     out += "      <and>\n";
-    write_reference(*top, out, "        ");
+    write_reference(*top, gates, out, "        ");
     out += "      </and>\n";
     out += "    </define-gate>\n";
     out += "  </define-fault-tree>\n";
@@ -96,10 +142,10 @@ void write_fault_tree(const FaultTree& tree, std::string& out) {
   }
   // Root gate first (it carries the top description as its label), then
   // the other gates children-before-parents.
-  write_gate(*top, tree.top_description(), out);
+  write_gate(*top, tree.top_description(), gates, out);
   tree.for_each_reachable([&](const FtNode& node) {
     if (node.kind() != NodeKind::kGate || &node == top) return;
-    write_gate(node, node.description(), out);
+    write_gate(node, node.description(), gates, out);
   });
   out += "  </define-fault-tree>\n";
 }
@@ -143,7 +189,8 @@ std::string write_openpsa(const std::vector<const FaultTree*>& trees) {
   std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
   std::string name = trees.size() == 1 ? trees.front()->name() : "ftsynth";
   out += "<opsa-mef name=\"" + escape_xml(name) + "\">\n";
-  for (const FaultTree* tree : trees) write_fault_tree(*tree, out);
+  GateNames gates;
+  for (const FaultTree* tree : trees) write_fault_tree(*tree, gates, out);
   // Leaf definitions, deduplicated by name across trees (equal names are
   // the cross-tree common-cause convention and must stay one definition).
   out += "  <model-data>\n";

@@ -15,10 +15,13 @@
 #include "analysis/batch.h"
 #include "analysis/event_tree.h"
 #include "analysis/report.h"
+#include "casestudy/setta.h"
 #include "core/diagnostics.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "ftp/openpsa_writer.h"
+#include "fta/synthesis.h"
+#include "mdl/writer.h"
 #include "openpsa/mef_reader.h"
 #include "openpsa/xml_reader.h"
 #include "service/json.h"
@@ -383,6 +386,65 @@ TEST(OpenpsaRoundTrip, SynthesiseOpenpsaFormatIsReimportable) {
   const TreeAnalysis analysis =
       analyse_top(reimported.tops[0].tree, CutSetEngine::kMicsup);
   EXPECT_EQ(analysis.cut_sets.to_string(), "{a}\n{b, c}\n");
+}
+
+TEST(OpenpsaRoundTrip, MultiTopBbwExportReimportsWithoutDiagnostics) {
+  // `synthesise --format openpsa` on the brake-by-wire model writes all 22
+  // default tops into one document. Every tree numbers its gates G1...
+  // afresh, so the writer must keep gate names unique across the
+  // document for the importer to take it back without a diagnostic.
+  const std::string path = testing::TempDir() + "/openpsa_multitop_bbw.mdl";
+  const Model model = setta::build_bbw();
+  write_mdl_file(model, path);
+  const CliRun exported = run_cli({"synthesise", path, "--format", "openpsa"});
+  ASSERT_EQ(exported.code, 0) << exported.err;
+  DiagnosticSink sink;
+  const MefModel reimported = openpsa::read_openpsa(exported.out, sink);
+  EXPECT_TRUE(sink.empty()) << sink.render_table();
+  ASSERT_EQ(reimported.tops.size(), 22u);
+
+  // Each imported tree has the cut sets of the tree synthesised directly.
+  // Fault-tree names are "<model>__<top deviation>".
+  Synthesiser synthesiser(model);
+  for (const MefTop& top : reimported.tops) {
+    SCOPED_TRACE(top.name);
+    const std::size_t split = top.name.find("__");
+    ASSERT_NE(split, std::string::npos);
+    const FaultTree direct = synthesiser.synthesise(top.name.substr(split + 2));
+    EXPECT_EQ(compute_cut_sets(top.tree).to_string(),
+              compute_cut_sets(direct).to_string());
+  }
+}
+
+TEST(OpenpsaRoundTrip, GateNamesAreQualifiedOnlyOnCollision) {
+  // A one-tree document keeps its gate names; in a two-tree document the
+  // second tree's clashing gates are qualified with its tree name.
+  FaultTree first("first");
+  FtNode* a = first.add_basic(Symbol("a"), 1e-3, "", "");
+  FtNode* b = first.add_basic(Symbol("b"), 1e-3, "", "");
+  first.set_top(first.add_gate(GateKind::kOr, "", {a, b}));
+  FaultTree second("second");
+  FtNode* c = second.add_basic(Symbol("c"), 1e-3, "", "");
+  FtNode* d = second.add_basic(Symbol("d"), 1e-3, "", "");
+  second.set_top(second.add_gate(GateKind::kAnd, "", {c, d}));
+  const std::string gate(first.top()->name().view());
+  ASSERT_EQ(gate, std::string(second.top()->name().view()));
+
+  EXPECT_NE(write_openpsa(second).find("<define-gate name=\"" + gate + "\">"),
+            std::string::npos);
+  const std::string both = write_openpsa({&first, &second});
+  EXPECT_NE(both.find("<define-gate name=\"" + gate + "\">"),
+            std::string::npos);
+  EXPECT_NE(both.find("<define-gate name=\"second." + gate + "\">"),
+            std::string::npos);
+  DiagnosticSink sink;
+  const MefModel reimported = openpsa::read_openpsa(both, sink);
+  EXPECT_TRUE(sink.empty()) << sink.render_table();
+  ASSERT_EQ(reimported.tops.size(), 2u);
+  EXPECT_EQ(compute_cut_sets(reimported.tops[0].tree).to_string(),
+            "{a}\n{b}\n");
+  EXPECT_EQ(compute_cut_sets(reimported.tops[1].tree).to_string(),
+            "{c, d}\n");
 }
 
 // ---------------------------------------------------------------------------
