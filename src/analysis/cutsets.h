@@ -101,12 +101,11 @@ struct CutSetOptions {
   /// ones returned may be non-minimal).
   Budget budget{};
   /// Optional worker pool (not owned): parallelises the quadratic
-  /// subsumption pass of minimisation over blocks of candidates, and -- for
-  /// the ZBDD engine -- the bottom-up conversion itself: independent cones
-  /// of the gate DAG build concurrently on the managers' sharded tables,
-  /// with reordering run stop-the-world at safe points (DESIGN.md §12).
-  /// Either way the result is byte-identical to the serial pass; null (the
-  /// default) keeps everything on the calling thread.
+  /// subsumption pass of minimisation over blocks of candidates and the
+  /// bound engine's frontier drain. The result is byte-identical to the
+  /// serial pass; null (the default) keeps everything on the calling
+  /// thread. The ZBDD conversion is serial whatever the pool: its
+  /// manager has one owner.
   ThreadPool* pool = nullptr;
   /// Optional content-addressed cone cache (analysis/cache.h, not owned):
   /// per-cone minimal families are looked up / stored by structural hash,

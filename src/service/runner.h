@@ -29,11 +29,10 @@
 // output-affecting fields are unchanged, under the same discipline
 // (content-addressed key, stores only from runs whose deadline never
 // fired, bypassed for requests with filesystem side effects). The memo
-// is what makes the warm daemon fast end to end -- the probability and
-// importance stages dominate an analyse request and sit outside the
-// cone cache's reach -- while an edit invalidates it the same way it
-// invalidates the model cache: the content hash changes, the stale
-// entry simply stops being looked up.
+// is what makes a warm replay fast end to end -- it skips every stage,
+// not only the cut sets the cone cache covers -- while an edit
+// invalidates it the same way it invalidates the model cache: the
+// content hash changes, the stale entry simply stops being looked up.
 
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "bdd/bdd.h"
 #include "bdd/bdd_prob.h"
@@ -213,6 +214,71 @@ TEST(BddOrder, RejectsBadOrders) {
   late.new_var();
   late.var(0);  // a node exists: too late to reorder
   EXPECT_ANY_THROW(late.set_order({0}));
+}
+
+TEST(Bdd, ArenaGrowthKeepsNodesAndGcKeepsSurvivors) {
+  // The node arena grows in blocks that never move (the first holds 4,096
+  // slots): a Node reference taken before the growth must read the same
+  // fields after it, and collect_garbage must leave every surviving ref
+  // denoting the same function, also once freed slots are handed out again.
+  constexpr int kVars = 100;
+  Bdd bdd;
+  for (int v = 0; v < kVars; ++v) bdd.new_var();
+  const Bdd::Ref early = bdd.apply_and(bdd.var(0), bdd.var(1));
+  const Bdd::Node& held = bdd.node(early);
+  const Bdd::Node fields = held;
+
+  auto conj = [&](int i, int j) {
+    return bdd.apply_and(bdd.var(i), bdd.var(j));
+  };
+  std::vector<Bdd::Ref> survivors;
+  Bdd::Ref kept_or = Bdd::kFalse;
+  for (int i = 0; i < kVars; ++i)
+    for (int j = i + 1; j < kVars; ++j) {
+      const Bdd::Ref ref = conj(i, j);
+      if ((i + j) % 7 == 0) {
+        survivors.push_back(ref);
+        kept_or = bdd.apply_or(kept_or, ref);
+      }
+    }
+  ASSERT_GT(bdd.size(), 4096u);  // past the first block boundary
+  EXPECT_EQ(&held, &bdd.node(early));
+  EXPECT_EQ(held.var, fields.var);
+  EXPECT_EQ(held.low, fields.low);
+  EXPECT_EQ(held.high, fields.high);
+
+  survivors.push_back(kept_or);
+  // A function's fingerprint: its value under fixed random assignments.
+  std::mt19937 rng(7);
+  std::vector<std::vector<bool>> assignments(64, std::vector<bool>(kVars));
+  for (auto& assignment : assignments)
+    for (int v = 0; v < kVars; ++v) assignment[v] = (rng() & 1) != 0;
+  auto fingerprint = [&](Bdd::Ref ref) {
+    std::vector<bool> values;
+    for (const auto& assignment : assignments)
+      values.push_back(bdd.evaluate(ref, assignment));
+    return values;
+  };
+  std::vector<std::vector<bool>> before;
+  std::vector<double> counts;
+  for (Bdd::Ref ref : survivors) {
+    before.push_back(fingerprint(ref));
+    counts.push_back(bdd.sat_count(ref));
+  }
+  const std::size_t table = bdd.table_size();
+  bdd.collect_garbage(survivors);
+  EXPECT_LT(bdd.table_size(), table);
+  EXPECT_EQ(bdd.table_size(), bdd.live_size(survivors));
+  // Refill the freed slots with other functions, then re-check.
+  for (int i = 0; i < kVars; ++i)
+    for (int j = i + 1; j < kVars; ++j)
+      if ((i + j) % 7 != 0) conj(i, j);
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    EXPECT_EQ(fingerprint(survivors[k]), before[k]) << k;
+    EXPECT_EQ(bdd.sat_count(survivors[k]), counts[k]) << k;
+  }
+  // Canonicity survives too: rebuilding a kept function finds its node.
+  EXPECT_EQ(conj(0, 7), survivors.front());
 }
 
 }  // namespace

@@ -18,13 +18,12 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/batch.h"
 #include "analysis/cutsets.h"
-#include "bdd/bdd.h"
-#include "bdd/zbdd.h"
 #include "casestudy/setta.h"
 #include "casestudy/synthetic.h"
 #include "core/budget.h"
@@ -33,6 +32,7 @@
 #include "core/thread_pool.h"
 #include "failure/expr_parser.h"
 #include "failure/failure_class.h"
+#include "fta/fault_tree.h"
 #include "fta/synthesis.h"
 #include "sim/monte_carlo.h"
 
@@ -396,77 +396,9 @@ TEST(ConcurrencyMonteCarlo, ShardedRunIsIdenticalWithAndWithoutPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded diagram managers: one manager hammered from many threads.
-
-TEST(ConcurrencyZbdd, ConcurrentConstructionStaysCanonical) {
-  // 8 threads build overlapping families in ONE manager. The striped
-  // unique table must keep the representation canonical under contention:
-  // after the threads join, serially recomputing each family must land on
-  // the very same Ref (same family == same node in a canonical diagram).
-  constexpr int kVars = 24;
-  constexpr std::size_t kThreads = 8;
-  Zbdd zbdd;
-  for (int v = 0; v < kVars; ++v) zbdd.new_var();
-
-  auto family = [&](std::size_t t) {
-    // Deliberately overlapping across threads so shards contend on the
-    // same keys, not just the same locks.
-    Zbdd::Ref acc = Zbdd::kEmpty;
-    for (std::size_t i = 0; i < 200; ++i) {
-      Zbdd::Ref product = zbdd.product(
-          zbdd.single(static_cast<int>((t + i) % kVars)),
-          zbdd.single(static_cast<int>((3 * i + 7) % kVars)));
-      acc = zbdd.set_union(acc, product);
-    }
-    return zbdd.minimal(acc);
-  };
-
-  std::vector<Zbdd::Ref> results(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[t] = family(t % 4); });
-  for (std::thread& thread : threads) thread.join();
-
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], family(t % 4)) << t;   // serial recomputation
-    EXPECT_EQ(results[t], results[t % 4]) << t;  // racing twins agree
-  }
-  // GC with the results as roots keeps them valid and consistent.
-  zbdd.collect_garbage(results);
-  EXPECT_EQ(zbdd.table_size(), zbdd.live_size(results));
-}
-
-TEST(ConcurrencyBdd, ConcurrentApplyStaysCanonical) {
-  constexpr int kVars = 20;
-  constexpr std::size_t kThreads = 8;
-  Bdd bdd;
-  for (int v = 0; v < kVars; ++v) bdd.new_var();
-
-  auto function = [&](std::size_t t) {
-    Bdd::Ref acc = Bdd::kFalse;
-    for (std::size_t i = 0; i < 150; ++i) {
-      Bdd::Ref term =
-          bdd.apply_and(bdd.var(static_cast<int>((t + i) % kVars)),
-                        bdd.var(static_cast<int>((5 * i + 2) % kVars)));
-      acc = bdd.apply_or(acc, term);
-    }
-    return acc;
-  };
-
-  std::vector<Bdd::Ref> results(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[t] = function(t % 4); });
-  for (std::thread& thread : threads) thread.join();
-
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], function(t % 4)) << t;
-    EXPECT_EQ(results[t], results[t % 4]) << t;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel ZBDD conversion: the stop-the-world protocol under fire.
+// The ZBDD engine under a pool: the conversion itself is serial (one owner
+// per manager), so --jobs must never change its bytes, and a cancellation
+// from another thread must degrade it cleanly.
 
 FaultTree synthesise_replicated(int channels, int stages) {
   synthetic::ReplicatedConfig config;
@@ -477,29 +409,6 @@ FaultTree synthesise_replicated(int channels, int stages) {
   std::lock_guard<std::mutex> lock(keep_alive_mutex);
   keep_alive.push_back(synthetic::build_replicated(config));
   return Synthesiser(keep_alive.back()).synthesise("Omission-sink");
-}
-
-TEST(ConcurrencyZbddConvert, ParallelConversionWithAutoSiftMatchesSerial) {
-  // Big enough that the unique table passes the pressure threshold
-  // mid-conversion, so workers exercise the full stop-the-world
-  // rendezvous (park, GC, sift, resume) -- and the output must still be
-  // byte-identical to the serial frame-stack conversion.
-  FaultTree tree = synthesise_replicated(3, 16);
-  CutSetOptions options;
-  options.engine = CutSetEngine::kZbdd;
-  options.order = OrderPolicy::kSift;
-
-  const CutSetAnalysis serial = compute_cut_sets(tree, options);
-  ASSERT_FALSE(serial.truncated);
-
-  for (int jobs : {2, 8}) {
-    ThreadPool pool(jobs);
-    options.pool = &pool;
-    const CutSetAnalysis parallel = compute_cut_sets(tree, options);
-    EXPECT_EQ(parallel.to_string(), serial.to_string()) << jobs;
-    EXPECT_EQ(parallel.truncated, serial.truncated) << jobs;
-    EXPECT_EQ(parallel.deadline_exceeded, serial.deadline_exceeded) << jobs;
-  }
 }
 
 TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
@@ -527,9 +436,10 @@ TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
 }
 
 TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
-  // A cancellation racing the parallel conversion: whenever the latch
-  // fires, the run must come back flagged (or complete, if the race was
-  // lost) -- never crash, deadlock, or corrupt the manager.
+  // A cancellation from another thread racing the conversion (and the
+  // sift passes it triggers): whenever the latch fires, the run must come
+  // back flagged (or complete, if the race was lost) -- never crash,
+  // deadlock, or corrupt the manager.
   FaultTree tree = synthesise_replicated(3, 18);
   const CutSetAnalysis reference = compute_cut_sets(
       tree, [] {
@@ -557,6 +467,42 @@ TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
       // The conversion won the race: the result must be the clean one.
       EXPECT_EQ(analysis.to_string(), reference.to_string()) << delay_us;
     }
+  }
+}
+
+TEST(ConcurrencyZbddConvert, TruncatedSampleIsIdenticalAcrossJobs) {
+  // AND of four 20-event ORs: 160,000 sets, all of order 4. With max_sets
+  // far below that, extraction lists a bounded sample, and the one order
+  // holds more sets than the sample enumeration's ceiling
+  // (max(4 * max_sets, 65536)), so the sample keeps an enumeration prefix
+  // that follows the variable order sifting left behind. The conversion
+  // runs on the calling thread whatever the pool, so the sample -- like
+  // everything else -- must not depend on it.
+  FaultTree tree("product");
+  std::vector<FtNode*> disjunctions;
+  for (int g = 0; g < 4; ++g) {
+    std::vector<FtNode*> events;
+    for (int e = 0; e < 20; ++e)
+      events.push_back(tree.add_basic(
+          Symbol("g" + std::to_string(g) + "e" + std::to_string(e)), 1e-6,
+          "", ""));
+    disjunctions.push_back(tree.add_gate(GateKind::kOr, "", events));
+  }
+  tree.set_top(tree.add_gate(GateKind::kAnd, "", disjunctions));
+
+  CutSetOptions options;
+  options.engine = CutSetEngine::kZbdd;
+  options.order = OrderPolicy::kSift;
+  options.max_sets = 16;
+  const CutSetAnalysis serial = compute_cut_sets(tree, options);
+  ASSERT_TRUE(serial.truncated);
+  ASSERT_EQ(serial.cut_sets.size(), 16u);
+  for (int jobs : {2, 8}) {
+    ThreadPool pool(jobs);
+    options.pool = &pool;
+    const CutSetAnalysis pooled = compute_cut_sets(tree, options);
+    EXPECT_EQ(pooled.to_string(), serial.to_string()) << jobs;
+    EXPECT_EQ(pooled.truncated, serial.truncated) << jobs;
   }
 }
 

@@ -176,5 +176,53 @@ TEST(Zbdd, RauzyMinsolOnSharedStructure) {
   EXPECT_EQ(enumerate(zbdd, minimal), (Family{{x}, {a, b}}));
 }
 
+TEST(Zbdd, ArenaGrowthKeepsNodesAndGcKeepsSurvivors) {
+  // The node arena grows in blocks that never move (the first holds 4,096
+  // slots): a Node reference taken before the growth must read the same
+  // fields after it, and collect_garbage must leave every surviving ref
+  // denoting the same family, also once freed slots are handed out again.
+  constexpr int kVars = 100;
+  Zbdd zbdd;
+  for (int v = 0; v < kVars; ++v) zbdd.new_var();
+  const Zbdd::Ref early = zbdd.product(zbdd.single(0), zbdd.single(1));
+  const Zbdd::Node& held = zbdd.node(early);
+  const Zbdd::Node fields = held;
+
+  auto pair = [&](int i, int j) {
+    return zbdd.product(zbdd.single(i), zbdd.single(j));
+  };
+  std::vector<Zbdd::Ref> survivors;
+  Zbdd::Ref kept_union = Zbdd::kEmpty;
+  for (int i = 0; i < kVars; ++i)
+    for (int j = i + 1; j < kVars; ++j) {
+      const Zbdd::Ref ref = pair(i, j);
+      if ((i + j) % 7 == 0) {
+        survivors.push_back(ref);
+        kept_union = zbdd.set_union(kept_union, ref);
+      }
+    }
+  ASSERT_GT(zbdd.size(), 4096u);  // past the first block boundary
+  EXPECT_EQ(&held, &zbdd.node(early));
+  EXPECT_EQ(held.var, fields.var);
+  EXPECT_EQ(held.low, fields.low);
+  EXPECT_EQ(held.high, fields.high);
+
+  survivors.push_back(kept_union);
+  std::vector<Family> families;
+  for (Zbdd::Ref ref : survivors) families.push_back(enumerate(zbdd, ref));
+  const std::size_t before = zbdd.table_size();
+  zbdd.collect_garbage(survivors);
+  EXPECT_LT(zbdd.table_size(), before);
+  EXPECT_EQ(zbdd.table_size(), zbdd.live_size(survivors));
+  // Refill the freed slots with other families, then re-check.
+  for (int i = 0; i < kVars; ++i)
+    for (int j = i + 1; j < kVars; ++j)
+      if ((i + j) % 7 != 0) pair(i, j);
+  for (std::size_t k = 0; k < survivors.size(); ++k)
+    EXPECT_EQ(enumerate(zbdd, survivors[k]), families[k]) << k;
+  // Canonicity survives too: rebuilding a kept family finds its node.
+  EXPECT_EQ(pair(0, 7), survivors.front());
+}
+
 }  // namespace
 }  // namespace ftsynth
