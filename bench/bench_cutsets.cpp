@@ -54,8 +54,12 @@ void BM_BottomUpReplicated(benchmark::State& state) {
   state.counters["cut_sets"] = static_cast<double>(sets);
   state.counters["peak_sets"] = static_cast<double>(peak);
 }
+// {3, 12}: thousands of working sets at the voting AND, the family where
+// micsup's minimisation dominates -- paired with BM_ZbddReplicated/3/12,
+// which never enumerates the intermediate sets.
 BENCHMARK(BM_BottomUpReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
+    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4})
+    ->Args({3, 12});
 
 void BM_MocusReplicated(benchmark::State& state) {
   FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
@@ -100,7 +104,8 @@ void BM_ZbddReplicated(benchmark::State& state) {
   state.counters["peak_nodes"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_ZbddReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
+    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4})
+    ->Args({3, 12});
 
 void BM_BddEncodeReplicated(benchmark::State& state) {
   FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
@@ -175,9 +180,9 @@ BENCHMARK(BM_ZbddBbw)->DenseRange(0, 15, 5)->Arg(12);
 // -- Subsumption kernel A/B ------------------------------------------------------
 //
 // The minimisation workload isolated from any engine: N random sets of
-// 3..7 literals. `Bitset` runs the production interned-bitset kernel
-// (word loops + signature pre-filter + popcount bucketing + contiguous
-// signature sidecar); `Vector` is a replica of the sorted literal-vector
+// 3..7 literals. `Bitset` runs the production flat-row kernel (word loops
+// + signature pre-filter + popcount levels + hash dedup + lowest-literal
+// buckets); `Vector` is a replica of the sorted literal-vector
 // kernel it replaced (std::includes subset tests, signature pre-filter,
 // full kept scan). Only plain-polarity (even) ids are drawn, so no set is
 // dropped as contradictory and both kernels process identical families.

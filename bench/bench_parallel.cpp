@@ -3,10 +3,11 @@
 // Every stage below is run at 1/2/4/8 workers over the same inputs; the
 // 1-worker case is the serial baseline (null pool), so the reported
 // real-time ratios are the speedup curves of DESIGN.md's "Parallel
-// execution model" section. All parallel paths are deterministic -- the
-// counters (probabilities, cut-set counts, MC estimates) must be
-// bit-identical across the worker axis; a divergence is a correctness bug,
-// not noise.
+// execution model" section. The pool spreads whole top events (and Monte
+// Carlo shards) over its workers; one tree's cut sets are computed on one
+// thread. All parallel paths are deterministic -- the counters
+// (probabilities, cut-set counts, MC estimates) must be bit-identical
+// across the worker axis; a divergence is a correctness bug, not noise.
 //
 // UseRealTime everywhere: the work spreads across pool workers, so CPU
 // time of the calling thread is meaningless as a progress measure.
@@ -16,9 +17,7 @@
 #include <optional>
 
 #include "analysis/batch.h"
-#include "analysis/cutsets.h"
 #include "casestudy/setta.h"
-#include "casestudy/synthetic.h"
 #include "core/thread_pool.h"
 #include "failure/expr_parser.h"
 #include "fta/synthesis.h"
@@ -119,61 +118,6 @@ void BM_ShardedMonteCarloBbw(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedMonteCarloBbw)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The quadratic subsumption pass in minimise(), parallelised over blocks
-// of candidates. The replicated-voter model produces thousands of working
-// sets (stages^channels combinations at the voting AND), which is where
-// the block screening dominates the cut-set run time.
-void BM_ParallelMinimiseReplicated(benchmark::State& state) {
-  static Model model = [] {
-    synthetic::ReplicatedConfig config;
-    config.channels = 3;
-    config.stages = 12;
-    return synthetic::build_replicated(config);
-  }();
-  static FaultTree tree = Synthesiser(model).synthesise("Omission-sink");
-  std::optional<ThreadPool> owned;
-  CutSetOptions options;
-  options.pool = pool_for(state.range(0), owned);
-  std::size_t cut_sets = 0;
-  std::size_t peak = 0;
-  for (auto _ : state) {
-    CutSetAnalysis analysis = minimal_cut_sets(tree, options);
-    cut_sets = analysis.cut_sets.size();
-    peak = analysis.peak_sets;
-  }
-  state.counters["cut_sets"] = static_cast<double>(cut_sets);
-  state.counters["peak_sets"] = static_cast<double>(peak);
-}
-BENCHMARK(BM_ParallelMinimiseReplicated)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The symbolic engine on the same tree as BM_ParallelMinimiseReplicated:
-// the single-threaded ZBDD is the engine-comparison baseline for the
-// worker-axis series above (it never enumerates the intermediate sets the
-// block screening has to subsume, so it needs no pool at all). The
-// cut_sets counter must equal the parallel series' -- same canonical
-// family by contract.
-void BM_ZbddMinimiseReplicated(benchmark::State& state) {
-  static Model model = [] {
-    synthetic::ReplicatedConfig config;
-    config.channels = 3;
-    config.stages = 12;
-    return synthetic::build_replicated(config);
-  }();
-  static FaultTree tree = Synthesiser(model).synthesise("Omission-sink");
-  std::size_t cut_sets = 0;
-  for (auto _ : state) {
-    CutSetAnalysis analysis = zbdd_cut_sets(tree);
-    cut_sets = analysis.cut_sets.size();
-  }
-  state.counters["cut_sets"] = static_cast<double>(cut_sets);
-}
-BENCHMARK(BM_ZbddMinimiseReplicated)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -38,7 +38,7 @@ BatchResult analyse_batch(const Model& model,
     SynthesisOptions synthesis = options.synthesis;
     if (degraded) synthesis.sink = &local;
     AnalysisOptions analysis = options.analysis;
-    analysis.cut_sets.pool = pool;  // minimisation shares the workers
+    analysis.cut_sets.pool = pool;  // the bound drain shares the workers
     analysis.cut_sets.cone_cache = cones;
     try {
       Synthesiser synthesiser(model, synthesis);

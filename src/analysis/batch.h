@@ -43,7 +43,8 @@ struct BatchOptions {
   /// stream.
   SynthesisOptions synthesis;
   /// Cut sets + probabilities + importance per tree. The cut-set pool is
-  /// overridden with the batch pool so minimisation shares the workers.
+  /// overridden with the batch pool so the bound engine's frontier drain
+  /// shares the workers.
   AnalysisOptions analysis;
   /// false: synthesise only (e.g. the CLI `synthesise` command).
   bool analyse = true;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -17,8 +18,6 @@
 #include "bound/frontier.h"
 #include "bound/pdag.h"
 #include "core/error.h"
-#include "core/parallel.h"
-#include "core/thread_pool.h"
 #include "fta/simplify.h"
 
 namespace ftsynth {
@@ -53,99 +52,375 @@ std::string CutSetAnalysis::to_string() const {
 
 namespace {
 
-// -- Interned-bitset working sets ---------------------------------------------
+// -- Flat set families ------------------------------------------------------
 //
 // Every (event, polarity) literal of the tree under analysis is interned
 // once into a dense id (2 * event_rank + negated, event ranks in
 // depth-first occurrence order -- the same order the decision diagrams
-// use), so a working cut set is a fixed-width word-array bitset. The two
-// derived fields make the subsumption hot loop cheap:
+// use), so a working cut set is a fixed-width row of 64-bit words. A
+// Family keeps a whole list of sets as one contiguous rows x words array
+// plus two per-row columns that make the subsumption hot loop cheap:
 //
 //   * count: cached popcount -- a set can only be subsumed by a set with
 //     strictly fewer literals (equal counts subsume only on equality,
 //     which deduplication removes first), so minimisation buckets by it;
-//   * signature: the OR-fold of all words -- `(a.sig & ~b.sig) != 0`
+//   * signature: the OR-fold of the row's words -- `(a.sig & ~b.sig) != 0`
 //     disproves "a subset of b" with one AND-NOT before the word loop.
-struct Set {
-  std::vector<std::uint64_t> words;
-  std::uint32_t count = 0;       ///< popcount over all words
-  std::uint64_t signature = 0;   ///< OR of all words
+//
+// Polarities of one event are the adjacent bit pair (2k, 2k + 1), which
+// never straddles a word, so a row holding both is found with one
+// shift-and-mask per word.
+
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+bool contradictory(const std::uint64_t* row, std::size_t words) noexcept {
+  std::uint64_t clash = 0;
+  for (std::size_t w = 0; w < words; ++w) clash |= row[w] & (row[w] >> 1);
+  return (clash & kEvenBits) != 0;
+}
+
+class Family {
+ public:
+  explicit Family(std::size_t words) : words_(words) {}
+
+  std::size_t words() const noexcept { return words_; }
+  std::size_t size() const noexcept { return counts_.size(); }
+  bool empty() const noexcept { return counts_.empty(); }
+  const std::uint64_t* row(std::size_t i) const noexcept {
+    return bits_.data() + i * words_;
+  }
+  std::uint32_t count(std::size_t i) const noexcept { return counts_[i]; }
+  std::uint64_t signature(std::size_t i) const noexcept {
+    return signatures_[i];
+  }
+  bool contradictory(std::size_t i) const noexcept {
+    return ftsynth::contradictory(row(i), words_);
+  }
+
+  void reserve(std::size_t rows) {
+    bits_.reserve(rows * words_);
+    counts_.reserve(rows);
+    signatures_.reserve(rows);
+  }
+  void clear() noexcept { truncate(0); }
+  /// Keeps the first `rows` rows.
+  void truncate(std::size_t rows) {
+    bits_.resize(rows * words_);
+    counts_.resize(rows);
+    signatures_.resize(rows);
+  }
+
+  /// Appends the set of `literals` (ids below words() * 64); repeats
+  /// collapse.
+  void push_literals(std::span<const int> literals) {
+    std::uint64_t* out = open_row();
+    std::uint64_t signature = 0;
+    for (const int literal : literals) {
+      const std::uint64_t bit = 1ULL << (literal & 63);
+      out[static_cast<std::size_t>(literal) >> 6] |= bit;
+      signature |= bit;
+    }
+    close_row(out, signature);
+  }
+
+  /// Appends a row given as `words()` raw words.
+  void push_words(const std::uint64_t* words) {
+    std::uint64_t* out = open_row();
+    std::uint64_t signature = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      out[w] = words[w];
+      signature |= words[w];
+    }
+    close_row(out, signature);
+  }
+
+  /// Appends row `i` of `other`, a different family of the same width.
+  void push_row(const Family& other, std::size_t i) {
+    bits_.insert(bits_.end(), other.row(i), other.row(i) + words_);
+    counts_.push_back(other.counts_[i]);
+    signatures_.push_back(other.signatures_[i]);
+  }
+
+  /// Appends every row of `other`, a different family of the same width.
+  void append(const Family& other) {
+    bits_.insert(bits_.end(), other.bits_.begin(), other.bits_.end());
+    counts_.insert(counts_.end(), other.counts_.begin(), other.counts_.end());
+    signatures_.insert(signatures_.end(), other.signatures_.begin(),
+                       other.signatures_.end());
+  }
+
+  /// Appends the union of row `i` of `a` and row `j` of `b` -- the cut
+  /// set of an AND -- unless it holds both polarities of an event. Neither
+  /// operand may be this family.
+  void push_union(const Family& a, std::size_t i, const Family& b,
+                  std::size_t j) {
+    const std::size_t base = bits_.size();
+    bits_.resize(base + words_);
+    std::uint64_t* out = bits_.data() + base;
+    const std::uint64_t* x = a.row(i);
+    const std::uint64_t* y = b.row(j);
+    std::uint32_t count = 0;
+    std::uint64_t clash = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t word = x[w] | y[w];
+      out[w] = word;
+      count += static_cast<std::uint32_t>(std::popcount(word));
+      clash |= word & (word >> 1);
+    }
+    if ((clash & kEvenBits) != 0) {
+      bits_.resize(base);
+      return;
+    }
+    counts_.push_back(count);
+    signatures_.push_back(a.signatures_[i] | b.signatures_[j]);
+  }
+
+  /// Drops the rows holding more than `max_count` literals, keeping the
+  /// order of the rest. Returns true when a row was dropped.
+  bool drop_larger_than(std::size_t max_count) {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (counts_[i] > max_count) continue;
+      if (out != i) {
+        std::copy(row(i), row(i) + words_, bits_.begin() + out * words_);
+        counts_[out] = counts_[i];
+        signatures_[out] = signatures_[i];
+      }
+      ++out;
+    }
+    const bool dropped = out != size();
+    truncate(out);
+    return dropped;
+  }
+
+  /// Reorders the rows canonically: by popcount, then by the ascending
+  /// literal sequence. For equal counts, lexicographic order of the
+  /// sorted id lists is decided by the lowest differing bit: the common
+  /// literals below it are shared, so whichever set owns that bit has the
+  /// smaller id there. Only where the order is observable -- a truncating
+  /// limit keeps a prefix, a cone entry or a listing is emitted in order
+  /// -- is a family sorted; finish() canonicalises by name keys anyway.
+  void sort_canonical() {
+    const auto less = [&](std::size_t a, std::size_t b) {
+      if (counts_[a] != counts_[b]) return counts_[a] < counts_[b];
+      const std::uint64_t* x = row(a);
+      const std::uint64_t* y = row(b);
+      for (std::size_t w = 0; w < words_; ++w) {
+        if (x[w] == y[w]) continue;
+        const std::uint64_t diff = x[w] ^ y[w];
+        return (x[w] & (diff & -diff)) != 0;
+      }
+      return false;
+    };
+    // A truncating clamp right after a sort finds its rows in order.
+    std::size_t i = 1;
+    while (i < size() && !less(i, i - 1)) ++i;
+    if (i >= size()) return;
+    std::vector<std::uint32_t> order(size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+      order[k] = static_cast<std::uint32_t>(k);
+    std::sort(order.begin(), order.end(), less);
+    Family sorted(words_);
+    sorted.reserve(size());
+    for (const std::uint32_t i : order) sorted.push_row(*this, i);
+    *this = std::move(sorted);
+  }
+
+  /// Calls `visit(literal)` for each literal of row `i`, ascending.
+  template <typename Visit>
+  void for_each_literal(std::size_t i, Visit&& visit) const {
+    const std::uint64_t* words = row(i);
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t bits = words[w];
+      while (bits != 0) {
+        visit(static_cast<int>(w * 64) + std::countr_zero(bits));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+ private:
+  std::uint64_t* open_row() {
+    bits_.resize(bits_.size() + words_, 0);
+    return bits_.data() + bits_.size() - words_;
+  }
+  void close_row(const std::uint64_t* out, std::uint64_t signature) {
+    std::uint32_t count = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+      count += static_cast<std::uint32_t>(std::popcount(out[w]));
+    counts_.push_back(count);
+    signatures_.push_back(signature);
+  }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;         ///< rows x words, row-major
+  std::vector<std::uint32_t> counts_;       ///< popcount per row
+  std::vector<std::uint64_t> signatures_;   ///< OR of the row's words
 };
 
-void set_insert(Set& set, int literal) {
-  std::uint64_t& word = set.words[static_cast<std::size_t>(literal) >> 6];
-  const std::uint64_t bit = 1ULL << (literal & 63);
-  if ((word & bit) == 0) {
-    word |= bit;
-    ++set.count;
-    set.signature |= bit;
+/// Scratch kept across minimise() calls of one analysis, so the per-call
+/// cost is proportional to the family, not to the literal universe.
+struct MinimiseScratch {
+  struct IndexEntry {
+    std::uint32_t count;      ///< popcount of the kept row
+    std::uint32_t index;      ///< row in the kept family
+    std::uint64_t signature;  ///< signature of the kept row
+  };
+  std::vector<std::uint32_t> level_begin;  ///< popcount -> first position
+  std::vector<std::uint32_t> level_fill;   ///< placement cursor per level
+  std::vector<std::uint32_t> order;        ///< row ids by popcount, stable
+  std::vector<std::uint64_t> slots;        ///< dedup hash table
+  std::vector<std::vector<IndexEntry>> buckets;  ///< by lowest literal
+};
+
+std::uint64_t row_hash(const std::uint64_t* row, std::size_t words) noexcept {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (std::size_t w = 0; w < words; ++w) {
+    h ^= row[w];
+    h ^= h >> 30;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 27;
+    h *= 0x94D049BB133111EBULL;
+    h ^= h >> 31;
   }
+  return h;
 }
 
-/// Set union: the cut-set semantics of an AND combination.
-Set set_or(const Set& a, const Set& b) {
-  Set out;
-  out.words.resize(a.words.size());
-  std::uint32_t count = 0;
-  for (std::size_t i = 0; i < a.words.size(); ++i) {
-    const std::uint64_t word = a.words[i] | b.words[i];
-    out.words[i] = word;
-    count += static_cast<std::uint32_t>(std::popcount(word));
-  }
-  out.count = count;
-  out.signature = a.signature | b.signature;
-  return out;
-}
+/// Removes non-minimal, duplicate and contradictory sets. The survivors
+/// come out by ascending popcount and, within one count, in input order
+/// (sort_canonical() gives the canonical order where it is observable).
+/// The pass works level by level, and three observations keep it far
+/// below the naive quadratic scan:
+///
+///   * popcount levels -- a counting sort groups the rows by popcount, and
+///     a row can only be subsumed by a survivor with strictly fewer
+///     literals, so no comparison sort of the family is ever needed;
+///   * hash dedup -- duplicates share a level, so a hash table over the
+///     level's rows drops them before any subsumption test;
+///   * lowest-literal indexing -- a subsumer is a subset of the candidate,
+///     so its lowest literal is one of the candidate's own literals: the
+///     survivors are bucketed by lowest literal id and a candidate with k
+///     literals is screened against just those k buckets. Bucket entries
+///     carry (count, signature), are appended in ascending count order
+///     and are scanned only up to the candidate's count.
+///
+/// The subsumption screen is quadratic in the worst case, so
+/// `deadline_hit()` is probed per candidate; on expiry the survivors so
+/// far are returned (a partial, flagged result).
+template <typename Deadline>
+Family minimise(const Family& sets, MinimiseScratch& scratch,
+                Deadline&& deadline_hit) {
+  const std::size_t words = sets.words();
+  Family kept(words);
+  if (sets.empty()) return kept;
 
-/// True if the set contains both x and NOT x. Polarities of one event are
-/// the adjacent bit pair (2k, 2k + 1), which never straddles a word.
-bool contradictory(const Set& set) noexcept {
-  constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
-  for (const std::uint64_t word : set.words) {
-    if ((word & (word >> 1) & kEvenBits) != 0) return true;
+  // Counting sort by popcount; contradictory rows never enter a level.
+  std::uint32_t max_count = 0;
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    max_count = std::max(max_count, sets.count(i));
+  const std::size_t levels = std::size_t{max_count} + 1;
+  std::vector<std::uint32_t>& begin = scratch.level_begin;
+  begin.assign(levels + 1, 0);
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    if (!sets.contradictory(i)) ++begin[sets.count(i) + 1];
+  for (std::size_t c = 1; c <= levels; ++c) begin[c] += begin[c - 1];
+  scratch.level_fill.assign(begin.begin(), begin.end() - 1);
+  scratch.order.resize(begin[levels]);
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    if (!sets.contradictory(i))
+      scratch.order[scratch.level_fill[sets.count(i)]++] =
+          static_cast<std::uint32_t>(i);
+  if (scratch.order.empty()) return kept;
+  // The empty set absorbs every other set. It also has no lowest literal
+  // to index under, so it gets its own exit rather than a bucket.
+  if (begin[1] > 0) {
+    kept.push_row(sets, scratch.order[0]);
+    return kept;
   }
-  return false;
-}
 
-/// Subset-or-equal test: signature and popcount pre-filters, then the
-/// word loop.
-bool subset(const Set& small, const Set& big) noexcept {
-  if (small.count > big.count) return false;
-  if ((small.signature & ~big.signature) != 0) return false;
-  for (std::size_t i = 0; i < small.words.size(); ++i) {
-    if ((small.words[i] & ~big.words[i]) != 0) return false;
+  if (scratch.buckets.size() < words * 64) scratch.buckets.resize(words * 64);
+  for (std::size_t b = 0; b < words * 64; ++b) scratch.buckets[b].clear();
+  // True when some survivor subsumes row i. Only the buckets of the
+  // row's own literals can hold one.
+  const auto screened_out = [&](std::size_t i) {
+    const std::uint64_t* candidate = sets.row(i);
+    const std::uint32_t count = sets.count(i);
+    const std::uint64_t not_sig = ~sets.signature(i);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = candidate[w];
+      while (bits != 0) {
+        const std::size_t literal =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        for (const MinimiseScratch::IndexEntry& entry :
+             scratch.buckets[literal]) {
+          if (entry.count >= count) break;
+          if ((entry.signature & not_sig) != 0) continue;
+          const std::uint64_t* small = kept.row(entry.index);
+          bool subset = true;
+          for (std::size_t v = 0; v < words && subset; ++v)
+            subset = (small[v] & ~candidate[v]) == 0;
+          if (subset) return true;
+        }
+      }
+    }
+    return false;
+  };
+
+  // Dedup slots hold (high hash half << 32 | row), so most probes that
+  // meet another row are settled without reading it.
+  constexpr std::uint64_t kFree = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t c = 1; c < levels; ++c) {
+    const std::size_t first = begin[c];
+    const std::size_t last = begin[c + 1];
+    if (first == last) continue;
+    std::size_t capacity = 2;
+    while (capacity < 2 * (last - first)) capacity *= 2;
+    scratch.slots.assign(capacity, kFree);
+    for (std::size_t p = first; p < last; ++p) {
+      if (deadline_hit()) return kept;
+      const std::uint32_t i = scratch.order[p];
+      const std::uint64_t* candidate = sets.row(i);
+      const std::uint64_t hash = row_hash(candidate, words);
+      const std::uint64_t tag = hash & ~0xFFFFFFFFULL;
+      std::size_t slot = hash & (capacity - 1);
+      bool duplicate = false;
+      while (scratch.slots[slot] != kFree) {
+        const std::uint64_t entry = scratch.slots[slot];
+        if ((entry & ~0xFFFFFFFFULL) == tag &&
+            std::equal(candidate, candidate + words,
+                       sets.row(entry & 0xFFFFFFFFULL))) {
+          duplicate = true;
+          break;
+        }
+        slot = (slot + 1) & (capacity - 1);
+      }
+      if (duplicate) continue;
+      scratch.slots[slot] = tag | i;
+      if (screened_out(i)) continue;
+      std::size_t w = 0;
+      while (candidate[w] == 0) ++w;
+      const std::size_t lowest =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(candidate[w]));
+      scratch.buckets[lowest].push_back(
+          {sets.count(i), static_cast<std::uint32_t>(kept.size()),
+           sets.signature(i)});
+      kept.push_row(sets, i);
+    }
   }
-  return true;
-}
-
-bool set_equal(const Set& a, const Set& b) noexcept {
-  return a.count == b.count && a.words == b.words;
-}
-
-/// Canonical working order: by popcount, then by the ascending literal
-/// sequence. For equal counts, lexicographic order of the sorted id lists
-/// is decided by the lowest differing bit: the common literals below it
-/// are shared, so whichever set owns that bit has the smaller id there.
-bool set_less(const Set& a, const Set& b) noexcept {
-  if (a.count != b.count) return a.count < b.count;
-  for (std::size_t i = 0; i < a.words.size(); ++i) {
-    if (a.words[i] == b.words[i]) continue;
-    const std::uint64_t diff = a.words[i] ^ b.words[i];
-    return (a.words[i] & (diff & -diff)) != 0;
-  }
-  return false;
+  return kept;
 }
 
 /// Shared bookkeeping: the literal interning table, the canonical-order
-/// table and limit tracking.
+/// table, limit tracking and the minimisation scratch.
 class Context {
  public:
   explicit Context(const CutSetOptions& options)
       : options_(options), budget_(options.budget) {}
 
   /// Interns `events` (their rank is their listing index); every
-  /// literal_id() lookup and bitset width derives from this table, so it
-  /// must run before any set is built. Pass the depth-first occurrence
+  /// literal_id() lookup and row width derives from this table, so it
+  /// must run before any family is built. Pass the depth-first occurrence
   /// order (analysis/ordering.h) for the canonical id assignment.
   ///
   /// Also ranks the events by name once and looks each one up once in
@@ -219,89 +494,99 @@ class Context {
   /// so they are safe to publish into a cone cache.
   bool clean() const noexcept { return !truncated_ && !deadline_exceeded_; }
 
-  Set empty_set() const { return Set{std::vector<std::uint64_t>(words_), 0, 0}; }
+  /// An empty family over this analysis's literal universe.
+  Family family() const { return Family(words_); }
 
-  Set literal_set(int literal) const {
-    Set set = empty_set();
-    set_insert(set, literal);
-    return set;
+  /// The family holding the one set {literal}.
+  Family literal_family(int literal) const {
+    Family family(words_);
+    family.push_literals({&literal, 1});
+    return family;
   }
 
-  Set set_from_literals(const std::vector<int>& literals) const {
-    Set set = empty_set();
-    for (int literal : literals) set_insert(set, literal);
-    return set;
+  Family minimise(const Family& sets) {
+    return ftsynth::minimise(sets, scratch_, [this] { return deadline_hit(); });
   }
 
   /// Applies the order/count limits; sets the truncation flag when they
-  /// bite. Keeps the smallest sets when over the count limit.
-  std::vector<Set> clamp(std::vector<Set> sets) {
-    std::vector<Set> kept;
-    kept.reserve(sets.size());
-    for (Set& set : sets) {
-      if (set.count > options_.max_order) {
-        truncated_ = true;
-        continue;
-      }
-      kept.push_back(std::move(set));
-    }
-    if (kept.size() > options_.max_sets) {
+  /// bite. Keeps the canonically smallest sets when over the count limit.
+  Family clamp(Family sets) {
+    if (sets.drop_larger_than(options_.max_order)) truncated_ = true;
+    if (sets.size() > options_.max_sets) {
       truncated_ = true;
-      // minimise() sorted canonically already when used on its result;
-      // sort defensively so the kept prefix is the smallest sets.
-      std::sort(kept.begin(), kept.end(), set_less);
-      kept.resize(options_.max_sets);
+      sets.sort_canonical();
+      sets.truncate(options_.max_sets);
     }
-    return kept;
+    return sets;
   }
 
   /// Canonical result: literals sorted by (event name, polarity), sets by
   /// (size, literals). Each set becomes its sorted keys 2 * rank + negated
   /// (a flat array), the sets are ordered on those keys, and every literal
-  /// is emitted pointing at the original tree's leaf. Bitsets are freed as
-  /// they are consumed, so the family is never held twice.
-  CutSetAnalysis finish(std::vector<Set> sets) const {
+  /// is emitted pointing at the original tree's leaf. The row order of
+  /// `sets` does not matter.
+  CutSetAnalysis finish(const Family& sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
     analysis.deadline_exceeded = deadline_exceeded_;
     analysis.peak_sets = peak_sets_;
     std::size_t literals = 0;
-    for (const Set& set : sets) literals += set.count;
+    for (std::size_t i = 0; i < sets.size(); ++i) literals += sets.count(i);
     std::vector<std::uint32_t> keys;
     keys.reserve(literals);
     std::vector<std::size_t> offsets;
     offsets.reserve(sets.size() + 1);
     offsets.push_back(0);
-    for (Set& set : sets) {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
       const std::size_t begin = keys.size();
-      for (std::size_t w = 0; w < set.words.size(); ++w) {
-        std::uint64_t bits = set.words[w];
-        while (bits != 0) {
-          const std::size_t lit = w * 64 + static_cast<std::size_t>(
-                                               std::countr_zero(bits));
-          bits &= bits - 1;
-          keys.push_back(key_of_[lit]);
-        }
-      }
+      sets.for_each_literal(i, [&](int literal) {
+        keys.push_back(key_of_[static_cast<std::size_t>(literal)]);
+      });
       std::sort(keys.begin() + static_cast<std::ptrdiff_t>(begin), keys.end());
       offsets.push_back(keys.size());
-      std::vector<std::uint64_t>().swap(set.words);
     }
-    std::vector<Set>().swap(sets);
 
-    std::vector<std::uint32_t> order(offsets.size() - 1);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order[i] = static_cast<std::uint32_t>(i);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::size_t size_a = offsets[a + 1] - offsets[a];
-                const std::size_t size_b = offsets[b + 1] - offsets[b];
-                if (size_a != size_b) return size_a < size_b;
-                const std::uint32_t* ka = keys.data() + offsets[a];
-                const std::uint32_t* kb = keys.data() + offsets[b];
-                return std::lexicographical_compare(ka, ka + size_a, kb,
-                                                    kb + size_b);
-              });
+    // Sets ordered by (size, keys): a counting sort by size, then within
+    // each size an LSD radix sort -- one stable counting pass per key
+    // position, last position first, over key values below
+    // key_of_.size(). The sets are distinct, so this is the one order any
+    // comparison sort on (size, keys) would produce.
+    const std::size_t n = offsets.size() - 1;
+    std::size_t max_size = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      max_size = std::max(max_size, offsets[i + 1] - offsets[i]);
+    std::vector<std::size_t> size_begin(max_size + 2, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      ++size_begin[offsets[i + 1] - offsets[i] + 1];
+    for (std::size_t k = 1; k < size_begin.size(); ++k)
+      size_begin[k] += size_begin[k - 1];
+    std::vector<std::uint32_t> order(n);
+    {
+      std::vector<std::size_t> fill(size_begin.begin(), size_begin.end() - 1);
+      for (std::size_t i = 0; i < n; ++i)
+        order[fill[offsets[i + 1] - offsets[i]]++] =
+            static_cast<std::uint32_t>(i);
+    }
+    std::vector<std::uint32_t> passed(n);
+    std::vector<std::size_t> bins(key_of_.size() + 1);
+    for (std::size_t size = 1; size <= max_size; ++size) {
+      const std::size_t first = size_begin[size];
+      const std::size_t last = size_begin[size + 1];
+      if (last - first < 2) continue;
+      for (std::size_t pos = size; pos-- > 0;) {
+        std::fill(bins.begin(), bins.end(), 0);
+        for (std::size_t p = first; p < last; ++p)
+          ++bins[keys[offsets[order[p]] + pos] + 1];
+        for (std::size_t b = 1; b < bins.size(); ++b) bins[b] += bins[b - 1];
+        for (std::size_t p = first; p < last; ++p) {
+          const std::uint32_t set = order[p];
+          passed[first + bins[keys[offsets[set] + pos]]++] = set;
+        }
+        std::copy(passed.begin() + static_cast<std::ptrdiff_t>(first),
+                  passed.begin() + static_cast<std::ptrdiff_t>(last),
+                  order.begin() + static_cast<std::ptrdiff_t>(first));
+      }
+    }
 
     analysis.cut_sets.reserve(order.size());
     for (const std::uint32_t index : order) {
@@ -330,7 +615,6 @@ class Context {
   }
   void mark_truncated() noexcept { truncated_ = true; }
   const CutSetOptions& options() const noexcept { return options_; }
-  ThreadPool* pool() const noexcept { return options_.pool; }
 
  private:
   const CutSetOptions& options_;
@@ -353,129 +637,16 @@ class Context {
   bool truncated_ = false;
   bool deadline_exceeded_ = false;
   std::size_t peak_sets_ = 0;
+  MinimiseScratch scratch_;
 };
-
-/// Removes non-minimal, duplicate and contradictory sets; result is sorted
-/// canonically (set_less). The subsumption pass is quadratic in the worst
-/// case, so on large batches it probes the deadline (when a context is
-/// given) and returns the partially-minimised prefix on expiry. Two
-/// observations cut the constant far below the naive scan:
-///
-///   * popcount bucketing -- after the canonical sort candidates arrive in
-///     ascending popcount order, duplicates are adjacent (removed up
-///     front), and a survivor can only subsume a candidate with strictly
-///     more literals, so every bucket scan stops at the first entry whose
-///     count reaches the candidate's;
-///   * lowest-literal indexing -- a subsumer is a subset of the candidate,
-///     so its lowest literal is one of the candidate's own literals: the
-///     kept list is bucketed by lowest literal id and a candidate with k
-///     literals is screened against just those k buckets, a small slice of
-///     the survivors. Bucket entries carry (count, signature) so the scan
-///     stays in one dense array until a signature actually passes.
-///
-/// With a pool in the context's options, the pass runs block-parallel:
-/// a block of consecutive candidates is screened against the already-kept
-/// sets concurrently (the quadratic part), and only the short intra-block
-/// dependency chain is resolved serially. The kept list is
-/// literal-for-literal the serial one.
-std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
-  std::sort(sets.begin(), sets.end(), set_less);
-  sets.erase(std::unique(sets.begin(), sets.end(), set_equal), sets.end());
-  if (sets.empty()) return {};
-  // The empty set sorts first and absorbs every other set. It also has no
-  // lowest literal to index under, so it gets its own exit rather than a
-  // bucket.
-  if (sets[0].count == 0) {
-    std::vector<Set> kept;
-    kept.push_back(std::move(sets[0]));
-    return kept;
-  }
-  struct IndexEntry {
-    std::uint32_t count;      ///< popcount of kept[index]
-    std::uint32_t index;      ///< position in the kept list
-    std::uint64_t signature;  ///< signature of kept[index]
-  };
-  const std::size_t universe = sets[0].words.size() * 64;
-  std::vector<std::vector<IndexEntry>> buckets(universe);
-  std::vector<Set> kept;
-  // True when some survivor subsumes the candidate. Only the buckets of
-  // the candidate's own literals can hold one, and entries are appended
-  // in ascending count order, so each bucket scan breaks early.
-  const auto screened_out = [&](const Set& candidate) {
-    const std::uint64_t not_sig = ~candidate.signature;
-    for (std::size_t w = 0; w < candidate.words.size(); ++w) {
-      std::uint64_t bits = candidate.words[w];
-      while (bits != 0) {
-        const std::size_t literal =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        for (const IndexEntry& entry : buckets[literal]) {
-          if (entry.count >= candidate.count) break;
-          if ((entry.signature & not_sig) != 0) continue;
-          if (subset(kept[entry.index], candidate)) return true;
-        }
-      }
-    }
-    return false;
-  };
-  const auto keep = [&](Set& candidate) {
-    for (std::size_t w = 0; w < candidate.words.size(); ++w) {
-      if (candidate.words[w] == 0) continue;
-      const std::size_t lowest =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(candidate.words[w]));
-      buckets[lowest].push_back(
-          IndexEntry{candidate.count, static_cast<std::uint32_t>(kept.size()),
-                     candidate.signature});
-      break;
-    }
-    kept.push_back(std::move(candidate));
-  };
-  ThreadPool* pool = context != nullptr ? context->pool() : nullptr;
-  constexpr std::size_t kBlock = 256;
-  if (pool == nullptr || pool->size() <= 1 || sets.size() < 2 * kBlock) {
-    for (Set& candidate : sets) {
-      if (context != nullptr && context->deadline_hit()) break;
-      if (contradictory(candidate)) continue;
-      if (!screened_out(candidate)) keep(candidate);
-    }
-    return kept;
-  }
-  std::vector<char> alive;
-  for (std::size_t pos = 0; pos < sets.size(); pos += kBlock) {
-    if (context->deadline_hit()) break;
-    const std::size_t block = std::min(kBlock, sets.size() - pos);
-    alive.assign(block, 1);
-    parallel_for(pool, block, [&](std::size_t k) {
-      const Set& candidate = sets[pos + k];
-      if (contradictory(candidate) || screened_out(candidate)) alive[k] = 0;
-    });
-    // Intra-block subsumption: only smaller sets kept *in this block* can
-    // still subsume a survivor (everything earlier was screened above).
-    const std::size_t kept_before = kept.size();
-    for (std::size_t k = 0; k < block; ++k) {
-      if (alive[k] == 0) continue;
-      Set& candidate = sets[pos + k];
-      bool subsumed = false;
-      for (std::size_t j = kept_before;
-           j < kept.size() && kept[j].count < candidate.count; ++j) {
-        if (subset(kept[j], candidate)) {
-          subsumed = true;
-          break;
-        }
-      }
-      if (!subsumed) keep(candidate);
-    }
-  }
-  return kept;
-}
 
 // -- Cone-cache bridge ---------------------------------------------------------
 //
 // Cached families are tree-independent (event name + polarity); the
-// helpers below translate between them and this analysis's interned
-// bitsets. Lookups re-canonicalise with the LOCAL set_less order, so a
-// cache-resolved family is literal-for-literal the one minimise() would
-// have returned here -- the substitution is invisible in the output.
+// helpers below translate between them and this analysis's interned rows.
+// Stores emit a family in the LOCAL canonical order (sort_canonical()), and
+// an adopted family is the same set of rows minimise() would have returned
+// here -- the substitution is invisible in the output.
 
 using NodeHashes =
     std::unordered_map<const FtNode*, StructuralHash, std::hash<const FtNode*>>;
@@ -511,44 +682,40 @@ ConeCache* usable_cache(const CutSetOptions& options,
   return cache;
 }
 
-/// Cached family -> local bitsets, canonically sorted. nullopt when some
-/// event name is outside this analysis's universe (possible only for a
-/// foreign/corrupt persistent entry; treated as a miss).
-std::optional<std::vector<Set>> sets_from_family(const ConeFamily& family,
-                                                 const Context& context) {
-  std::vector<Set> sets;
+/// Cached family -> local rows, in the cached set order (callers that
+/// depend on the order sort). nullopt when some event name is outside
+/// this analysis's universe (possible only for a foreign/corrupt
+/// persistent entry; treated as a miss).
+std::optional<Family> sets_from_family(const ConeFamily& family,
+                                       const Context& context) {
+  Family sets = context.family();
   sets.reserve(family.sets.size());
+  std::vector<int> ids;
   for (const std::vector<ConeLiteral>& cached : family.sets) {
-    Set set = context.empty_set();
+    ids.clear();
     for (const ConeLiteral& literal : cached) {
       const int id = context.literal_id_by_name(literal.event, literal.negated);
       if (id < 0) return std::nullopt;
-      set_insert(set, id);
+      ids.push_back(id);
     }
-    sets.push_back(std::move(set));
+    sets.push_literals(ids);
   }
-  std::sort(sets.begin(), sets.end(), set_less);
   return sets;
 }
 
-/// Local bitsets -> cached family, preserving set order (already canonical
-/// on every store path: minimise() emits sets in set_less order).
-ConeFamily family_from_sets(const std::vector<Set>& sets,
-                            const Context& context) {
+/// Local rows -> cached family, canonically ordered so that the entry is
+/// byte-identical whatever order the producing engine left its rows in.
+ConeFamily family_from_sets(Family sets, const Context& context) {
+  sets.sort_canonical();
   ConeFamily family;
   family.sets.reserve(sets.size());
-  for (const Set& set : sets) {
+  for (std::size_t i = 0; i < sets.size(); ++i) {
     std::vector<ConeLiteral> literals;
-    literals.reserve(set.count);
-    for (std::size_t w = 0; w < set.words.size(); ++w) {
-      std::uint64_t bits = set.words[w];
-      while (bits != 0) {
-        const int lit = static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        literals.push_back(
-            {context.event_of(lit)->name(), (lit & 1) != 0});
-      }
-    }
+    literals.reserve(sets.count(i));
+    sets.for_each_literal(i, [&](int literal) {
+      literals.push_back(
+          {context.event_of(literal)->name(), (literal & 1) != 0});
+    });
     family.sets.push_back(std::move(literals));
   }
   return family;
@@ -578,7 +745,7 @@ std::optional<CutSetAnalysis> cached_root_analysis(const FaultTree& flat,
   const std::shared_ptr<const ConeFamily> family =
       cache->find(hashes.at(flat.top()));
   if (family == nullptr) return std::nullopt;
-  std::optional<std::vector<Set>> sets = sets_from_family(*family, context);
+  std::optional<Family> sets = sets_from_family(*family, context);
   if (!sets) return std::nullopt;
   return context.finish(context.clamp(std::move(*sets)));
 }
@@ -596,10 +763,8 @@ class BottomUp {
         cone_cache_(cone_cache),
         hashes_(hashes) {}
 
-  std::vector<Set> run() {
-    if (tree_.top() == nullptr) return {};
-    return resolve(tree_.top());
-  }
+  /// The top's family (a reference into the memo). The tree needs a top.
+  const Family& run() { return resolve(tree_.top()); }
 
   /// Publishes every memoised gate family into the cone cache. Call only
   /// after a CLEAN run (context.clean()): a family computed under a fired
@@ -620,34 +785,34 @@ class BottomUp {
 
  private:
   /// Returns a reference into the memo (stable: unordered_map nodes do not
-  /// move on rehash). A cache hit on a diamond-shaped DAG used to copy the
-  /// whole intermediate set list on every revisit; callers now copy only
-  /// what they combine.
-  const std::vector<Set>& resolve(const FtNode* node) {
+  /// move on rehash), so a shared subtree is never copied on revisit.
+  Family& resolve(const FtNode* node) {
     if (auto it = memo_.find(node); it != memo_.end()) return it->second;
     if (cone_cache_ != nullptr && cacheable_cone(node)) {
       if (const std::shared_ptr<const ConeFamily> family =
               cone_cache_->find(hashes_->at(node))) {
-        if (std::optional<std::vector<Set>> sets =
-                sets_from_family(*family, context_)) {
+        if (std::optional<Family> sets = sets_from_family(*family, context_)) {
           context_.track_peak(sets->size());
           return memo_.emplace(node, std::move(*sets)).first->second;
         }
       }
     }
-    std::vector<Set> result = resolve_uncached(node);
+    Family result = resolve_uncached(node);
     context_.track_peak(result.size());
     return memo_.emplace(node, std::move(result)).first->second;
   }
 
-  std::vector<Set> resolve_uncached(const FtNode* node) {
+  Family resolve_uncached(const FtNode* node) {
     switch (node->kind()) {
-      case NodeKind::kHouse:
-        return {context_.empty_set()};  // constant true: the empty cut set
+      case NodeKind::kHouse: {
+        Family truth = context_.family();  // constant true: the empty cut set
+        truth.push_literals({});
+        return truth;
+      }
       case NodeKind::kBasic:
       case NodeKind::kUndeveloped:
       case NodeKind::kLoop:
-        return {context_.literal_set(context_.literal_id(node, false))};
+        return context_.literal_family(context_.literal_id(node, false));
       case NodeKind::kGate:
         break;
     }
@@ -655,50 +820,110 @@ class BottomUp {
       const FtNode* child = node->children().front();
       check_internal(child->is_leaf(),
                      "cut sets need a normalised tree (NOT over leaf)");
-      return {context_.literal_set(context_.literal_id(child, true))};
+      return context_.literal_family(context_.literal_id(child, true));
     }
-    std::vector<Set> acc;
-    bool first = true;
-    // kPand is quantified by analysis/temporal.h; for cut-set purposes the
-    // *event sets* are those of the AND (a conservative upper bound).
+    std::vector<Family*> operands;
     for (const FtNode* child : node->children()) {
       if (context_.deadline_hit()) break;  // keep the partial accumulation
-      const std::vector<Set>& sets = resolve(child);
-      if (node->gate() == GateKind::kOr) {
-        acc.insert(acc.end(), sets.begin(), sets.end());
-      } else if (first) {
-        acc = sets;
-      } else {
-        // AND: cross product, dropping contradictions as they appear.
-        std::vector<Set> product;
-        product.reserve(acc.size() * sets.size());
-        for (const Set& a : acc) {
-          if (context_.deadline_hit()) break;
-          for (const Set& b : sets) {
-            Set merged = set_or(a, b);
-            if (!contradictory(merged)) product.push_back(std::move(merged));
-          }
-          if (product.size() > context_.options().max_sets * 4) {
-            // Keep the blow-up bounded before minimisation.
-            product = context_.clamp(minimise(std::move(product), &context_));
-          }
-        }
-        acc = std::move(product);
+      operands.push_back(&resolve(child));
+    }
+    Family acc = node->gate() == GateKind::kOr ? union_of(operands)
+                                                : product_of(operands);
+    // Past the deadline the result is partial anyway: skip the
+    // minimisation so the whole engine unwinds fast. Independent operands
+    // need none.
+    if (context_.deadline_hit() || independent(operands))
+      return context_.clamp(std::move(acc));
+    return context_.clamp(context_.minimise(acc));
+  }
+
+  /// True when the operands mention pairwise disjoint events. Their
+  /// union (OR) or product (AND) is then minimal already, so minimise()
+  /// would return every row: every memo entry is a minimal family without
+  /// the empty set (normalise() folds TRUE house events into their
+  /// parents), a nonempty set can only contain a set over the same
+  /// events, and two products agree only when both factors do.
+  static bool independent(const std::vector<Family*>& operands) {
+    if (operands.empty()) return true;
+    const std::size_t words = operands.front()->words();
+    std::vector<std::uint64_t> seen(words);
+    std::vector<std::uint64_t> literals(words);
+    for (const Family* operand : operands) {
+      std::fill(literals.begin(), literals.end(), 0);
+      for (std::size_t i = 0; i < operand->size(); ++i)
+        for (std::size_t w = 0; w < words; ++w)
+          literals[w] |= operand->row(i)[w];
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t events = (literals[w] | (literals[w] >> 1)) &
+                                     kEvenBits;
+        if ((seen[w] & events) != 0) return false;
+        seen[w] |= events;
       }
-      first = false;
+    }
+    return true;
+  }
+
+  Family union_of(const std::vector<Family*>& operands) {
+    Family acc = context_.family();
+    for (const Family* operand : operands) acc.append(*operand);
+    context_.track_peak(acc.size());
+    return acc;
+  }
+
+  /// AND (and kPand, which analysis/temporal.h quantifies; for cut-set
+  /// purposes its event sets are those of the AND, a conservative upper
+  /// bound): the cross product of the operands, dropping contradictions
+  /// as they appear.
+  Family product_of(const std::vector<Family*>& operands) {
+    if (operands.empty()) return context_.family();
+    // A product that outgrows the row budget is minimised and clamped
+    // mid-way, and which sets survive a clamp depends on which rows came
+    // first. Only then is the row order observable, so only then are the
+    // operands put in canonical order -- which makes the truncated result
+    // a function of the operands' sets alone.
+    const std::size_t budget = context_.options().max_sets * 4;
+    std::size_t rows = operands.front()->size();
+    bool may_clamp = false;
+    for (std::size_t k = 1; k < operands.size() && !may_clamp; ++k) {
+      const std::size_t size = operands[k]->size();
+      if (size != 0 && rows > budget / size) may_clamp = true;
+      rows *= size;
+    }
+    if (may_clamp)
+      for (Family* operand : operands) operand->sort_canonical();
+
+    Family acc = *operands.front();
+    context_.track_peak(acc.size());
+    for (std::size_t k = 1; k < operands.size(); ++k) {
+      if (context_.deadline_hit()) break;  // keep the partial accumulation
+      const Family& sets = *operands[k];
+      Family product = context_.family();
+      product.reserve(
+          std::min(acc.size() * sets.size(), budget + sets.size()));
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        if (context_.deadline_hit()) break;
+        for (std::size_t j = 0; j < sets.size(); ++j)
+          product.push_union(acc, i, sets, j);
+        if (product.size() > budget) {
+          // Keep the blow-up bounded before minimisation. The survivors
+          // are sorted even when the clamp keeps them all: they lead the
+          // next operand's pass, whose own clamps depend on row order.
+          Family kept = context_.minimise(product);
+          kept.sort_canonical();
+          product = context_.clamp(std::move(kept));
+        }
+      }
+      acc = std::move(product);
       context_.track_peak(acc.size());
     }
-    // Past the deadline the result is partial anyway; skip the O(n^2)
-    // minimisation so the whole engine unwinds in O(n log n).
-    if (context_.deadline_hit()) return context_.clamp(std::move(acc));
-    return context_.clamp(minimise(std::move(acc), &context_));
+    return acc;
   }
 
   const FaultTree& tree_;
   Context& context_;
   ConeCache* cone_cache_;      ///< not owned; null = no cross-tree reuse
   const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
-  std::unordered_map<const FtNode*, std::vector<Set>> memo_;
+  std::unordered_map<const FtNode*, Family> memo_;
 };
 
 // -- Top-down MOCUS engine -------------------------------------------------------
@@ -712,18 +937,24 @@ class Mocus {
         cone_cache_(cone_cache),
         hashes_(hashes) {}
 
-  std::vector<Set> run() {
+  Family run() {
     const FtNode* top = tree_.top();
-    if (top == nullptr) return {};
+    if (top == nullptr) return context_.family();
 
-    // A row is a conjunction of unresolved nodes plus resolved literals.
+    // A row is a conjunction of unresolved nodes plus resolved literals
+    // (a bitset of family().words() words).
     struct Row {
       std::vector<const FtNode*> gates;
-      Set literals;
+      std::vector<std::uint64_t> literals;
+    };
+    Family done = context_.family();
+    const std::size_t words = done.words();
+    const auto insert = [](Row& row, int literal) {
+      row.literals[static_cast<std::size_t>(literal) >> 6] |=
+          1ULL << (literal & 63);
     };
     std::deque<Row> rows;
-    rows.push_back({{top}, context_.empty_set()});
-    std::vector<Set> done;
+    rows.push_back({{top}, std::vector<std::uint64_t>(words)});
 
     while (!rows.empty()) {
       if (context_.deadline_hit()) break;  // finish with the sets done so far
@@ -731,10 +962,13 @@ class Mocus {
       rows.pop_front();
       context_.track_peak(rows.size() + done.size());
       if (row.gates.empty()) {
-        if (row.literals.count > context_.options().max_order) {
+        std::size_t count = 0;
+        for (const std::uint64_t word : row.literals)
+          count += static_cast<std::size_t>(std::popcount(word));
+        if (count > context_.options().max_order) {
           context_.mark_truncated();
-        } else if (!contradictory(row.literals)) {
-          done.push_back(std::move(row.literals));
+        } else if (!contradictory(row.literals.data(), words)) {
+          done.push_words(row.literals.data());
         }
         continue;
       }
@@ -742,16 +976,19 @@ class Mocus {
       row.gates.pop_back();
       // Cone-cache short-circuit: a cached gate is semantically an OR over
       // its minimal cut sets, so it expands to one row per set -- the
-      // whole subtree below it is never visited.
+      // whole subtree below it is never visited. The rows are queued in
+      // canonical order because the explosion guard below drops from the
+      // back.
       if (cone_cache_ != nullptr && cacheable_cone(node)) {
         if (const std::shared_ptr<const ConeFamily> family =
                 cone_cache_->find(hashes_->at(node))) {
-          if (std::optional<std::vector<Set>> sets =
+          if (std::optional<Family> sets =
                   sets_from_family(*family, context_)) {
-            for (Set& set : *sets) {
-              Row branch;
-              branch.gates = row.gates;
-              branch.literals = set_or(row.literals, set);
+            sets->sort_canonical();
+            for (std::size_t i = 0; i < sets->size(); ++i) {
+              Row branch{row.gates, row.literals};
+              for (std::size_t w = 0; w < words; ++w)
+                branch.literals[w] |= sets->row(i)[w];
               rows.push_back(std::move(branch));
             }
             continue;
@@ -765,7 +1002,7 @@ class Mocus {
         case NodeKind::kBasic:
         case NodeKind::kUndeveloped:
         case NodeKind::kLoop:
-          set_insert(row.literals, context_.literal_id(node, false));
+          insert(row, context_.literal_id(node, false));
           rows.push_back(std::move(row));
           break;
         case NodeKind::kGate:
@@ -773,7 +1010,7 @@ class Mocus {
             const FtNode* child = node->children().front();
             check_internal(child->is_leaf(),
                            "MOCUS needs a normalised tree (NOT over leaf)");
-            set_insert(row.literals, context_.literal_id(child, true));
+            insert(row, context_.literal_id(child, true));
             rows.push_back(std::move(row));
           } else if (node->gate() == GateKind::kAnd ||
                      node->gate() == GateKind::kPand) {
@@ -796,7 +1033,7 @@ class Mocus {
       }
     }
     if (context_.deadline_hit()) return context_.clamp(std::move(done));
-    return context_.clamp(minimise(std::move(done), &context_));
+    return context_.clamp(context_.minimise(done));
   }
 
  private:
@@ -841,10 +1078,11 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
     hashes = structural_hashes(flat);
+  if (flat.top() == nullptr) return context.finish(context.family());
   BottomUp engine(flat, context, cache, &hashes);
-  std::vector<Set> sets = engine.run();
+  const Family& sets = engine.run();
   if (cache != nullptr && context.clean()) engine.store_cones();
-  return context.finish(std::move(sets));
+  return context.finish(sets);
 }
 
 CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
@@ -856,7 +1094,7 @@ CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
     hashes = structural_hashes(flat);
-  std::vector<Set> sets = Mocus(flat, context, cache, &hashes).run();
+  Family sets = Mocus(flat, context, cache, &hashes).run();
   // MOCUS only materialises the root family; publish it so a warm re-run
   // (or a later tree with this exact cone) short-circuits at the top.
   if (cache != nullptr && context.clean() && flat.top() != nullptr &&
@@ -867,7 +1105,7 @@ CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
       cache->note_oversize_skip();
     }
   }
-  return context.finish(std::move(sets));
+  return context.finish(sets);
 }
 
 CutSetAnalysis compute_cut_sets(const FaultTree& tree,
@@ -890,29 +1128,23 @@ std::vector<std::vector<int>> minimise_literal_sets(
   check_internal(universe >= 0, "literal universe must be non-negative");
   const std::size_t words =
       (static_cast<std::size_t>(universe) + 63) / 64;
-  std::vector<Set> packed;
+  Family packed(words);
   packed.reserve(sets.size());
   for (const std::vector<int>& literals : sets) {
-    Set set{std::vector<std::uint64_t>(words), 0, 0};
-    for (int literal : literals) {
+    for (int literal : literals)
       check_internal(literal >= 0 && literal < universe,
                      "literal id outside the declared universe");
-      set_insert(set, literal);
-    }
-    packed.push_back(std::move(set));
+    packed.push_literals(literals);
   }
+  MinimiseScratch scratch;
+  Family kept = minimise(packed, scratch, [] { return false; });
+  kept.sort_canonical();
   std::vector<std::vector<int>> out;
-  out.reserve(packed.size());
-  for (const Set& set : minimise(std::move(packed))) {
+  out.reserve(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
     std::vector<int> literals;
-    literals.reserve(set.count);
-    for (std::size_t w = 0; w < set.words.size(); ++w) {
-      std::uint64_t bits = set.words[w];
-      while (bits != 0) {
-        literals.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
+    literals.reserve(kept.count(i));
+    kept.for_each_literal(i, [&](int literal) { literals.push_back(literal); });
     out.push_back(std::move(literals));
   }
   return out;
@@ -926,7 +1158,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
   context.intern(order, tree);
-  if (flat.top() == nullptr) return context.finish({});
+  if (flat.top() == nullptr) return context.finish(context.family());
 
   ConeCache* cache = usable_cache(options, "zbdd");
   NodeHashes hashes;
@@ -956,7 +1188,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   const bool dynamic_order = options.order != OrderPolicy::kStatic;
   if (dynamic_order) zbdd.set_auto_reorder(true);
 
-  std::vector<Set> sets;
+  Family sets = context.family();
   // Declared outside the try so the post-run report covers interrupted
   // runs too: the diagram stays valid when an operation throws.
   Zbdd::Ref contra = Zbdd::kEmpty;
@@ -1027,10 +1259,16 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     // Everything resolvable without recursing into gate children: memo
     // hits, cached cones, leaves and (normalised) NOT gates. AND/OR gates
     // return nullopt and get an explicit conversion frame below.
+    //
+    // Under a sift policy inner cones are never adopted from the cache:
+    // rebuilding one changes the unique-table history, hence where sifting
+    // parks the variables, hence the enumeration prefix a truncated
+    // listing samples. Converting every cone keeps cold and warm runs on
+    // one history. Stores and the whole-tree fast path above still apply.
     auto resolve_simple =
         [&](const FtNode* node) -> std::optional<Zbdd::Ref> {
       if (auto it = memo.find(node); it != memo.end()) return it->second;
-      if (cache != nullptr && cacheable_cone(node)) {
+      if (cache != nullptr && !dynamic_order && cacheable_cone(node)) {
         if (const ConeCache::ConeHit hit = cache->find_any(hashes.at(node))) {
           std::optional<Zbdd::Ref> cached =
               hit.family != nullptr ? ref_from_family(*hit.family)
@@ -1181,7 +1419,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
             truncated_paths = true;
             return;
           }
-          sets.push_back(context.set_from_literals(path));
+          sets.push_literals(path);
           return;
         }
         const Zbdd::Node node = zbdd.node(ref);
@@ -1193,13 +1431,13 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       extract(extract, root);
     } else {
       // Truncated family: the listing is a bounded sample. Sample it
-      // CANONICALLY -- smallest sets first, set_less within one order --
-      // instead of in diagram order: diagram order follows the variable
-      // order, which dynamic reordering moves, and stdout must not.
-      // Per-node order bounds prune each sweep to the subgraphs that can
-      // hold a set of the wanted size; the enumeration ceiling bounds the
-      // boundary order's cost (a sample past the ceiling keeps the
-      // enumeration prefix -- the documented residual, docs/FORMATS.md).
+      // CANONICALLY -- smallest sets first, canonical order within one
+      // size -- instead of in diagram order: diagram order follows the
+      // variable order, which dynamic reordering moves, and stdout must
+      // not. Per-node order bounds prune each sweep to the subgraphs that
+      // can hold a set of the wanted size; the enumeration ceiling bounds
+      // the boundary order's cost (a sample past the ceiling keeps the
+      // enumeration prefix, docs/FORMATS.md).
       truncated_paths = true;
       constexpr std::size_t kNoSets = std::numeric_limits<std::size_t>::max();
       std::unordered_map<Zbdd::Ref, std::pair<std::size_t, std::size_t>>
@@ -1224,7 +1462,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           std::min(root_bounds.second, context.options().max_order);
       const std::size_t ceiling =
           std::max<std::size_t>(4 * extract_cap, std::size_t{1} << 16);
-      std::vector<Set> order_sets;
+      Family order_sets = context.family();
       auto enumerate = [&](auto&& self, Zbdd::Ref ref,
                            std::size_t want) -> bool {
         if (ref == Zbdd::kEmpty) return true;
@@ -1232,7 +1470,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
         if (ref == Zbdd::kBase) {
           if (want == 0) {
             if (order_sets.size() >= ceiling) return false;
-            order_sets.push_back(context.set_from_literals(path));
+            order_sets.push_literals(path);
           }
           return true;
         }
@@ -1254,11 +1492,10 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
            !stop && k <= k_hi && sets.size() < extract_cap; ++k) {
         order_sets.clear();
         if (!enumerate(enumerate, root, k)) stop = true;
-        std::sort(order_sets.begin(), order_sets.end(), set_less);
-        for (Set& set : order_sets) {
-          if (sets.size() >= extract_cap) break;
-          sets.push_back(std::move(set));
-        }
+        order_sets.sort_canonical();
+        for (std::size_t i = 0;
+             i < order_sets.size() && sets.size() < extract_cap; ++i)
+          sets.push_row(order_sets, i);
       }
     }
     if (truncated_paths) context.mark_truncated();
@@ -1267,8 +1504,8 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     // diagrams must never be reused). Enumeration cost is bounded by the
     // same cap the other engines use. The diagram enumerates in the
     // CURRENT variable order, which the sift policies may have moved, so
-    // re-canonicalise (sort literals per set, sets by set_less) -- cache
-    // contents, like stdout, must be byte-identical across policies.
+    // family_from_sets() re-canonicalises -- cache contents, like stdout,
+    // must be byte-identical across policies.
     if (cache != nullptr && context.clean() && !context.deadline_hit()) {
       // Cone diagram -> serialised structure, postorder (low child first)
       // so children land on earlier slots than every parent. Serialised
@@ -1330,13 +1567,13 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           }
           continue;
         }
-        std::vector<Set> cone_sets;
+        Family cone_sets = context.family();
         zbdd.for_each_set(ref, [&](const std::vector<int>& literals) {
-          cone_sets.push_back(context.set_from_literals(literals));
+          cone_sets.push_literals(literals);
           return true;
         });
-        std::sort(cone_sets.begin(), cone_sets.end(), set_less);
-        cache->store(hashes.at(node), family_from_sets(cone_sets, context));
+        cache->store(hashes.at(node),
+                     family_from_sets(std::move(cone_sets), context));
       }
     }
   } catch (const Zbdd::Interrupt& interrupt) {
@@ -1481,14 +1718,14 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
   BddEncoding encoding = encode_bdd(tree);
   Context context(options);
   context.intern(encoding.events, tree);
-  if (tree.top() == nullptr) return context.finish({});
+  if (tree.top() == nullptr) return context.finish(context.family());
 
   MinimalSolutions engine(encoding.bdd);
   Bdd::Ref solutions = engine.minsol(encoding.root);
 
   // Enumerate paths: a high edge includes the variable, low (and skipped
   // levels) exclude it.
-  std::vector<Set> sets;
+  Family sets = context.family();
   std::vector<int> literals;
   bool truncated_paths = false;
   auto enumerate = [&](auto&& self, Bdd::Ref ref) -> void {
@@ -1509,7 +1746,7 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
         ids.push_back(context.literal_id(
             encoding.events[static_cast<std::size_t>(var)], false));
       }
-      sets.push_back(context.set_from_literals(ids));
+      sets.push_literals(ids);
       context.track_peak(sets.size());
       return;
     }
@@ -1522,9 +1759,8 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
   enumerate(enumerate, solutions);
   if (truncated_paths) context.mark_truncated();
 
-  return context.finish(context.deadline_hit()
-                            ? std::move(sets)
-                            : minimise(std::move(sets), &context));
+  return context.finish(context.deadline_hit() ? sets
+                                              : context.minimise(sets));
 }
 
 // -- Anytime bound engine --------------------------------------------------------
@@ -1566,12 +1802,12 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   // minimisation pass still runs. On exhausted runs the result is the
   // exact minimal family -- literal-for-literal what the exact engines
   // return through this same kernel.
-  std::vector<Set> sets;
+  Family sets = context.family();
   sets.reserve(outcome.products.size());
   for (const std::vector<int>& product : outcome.products)
-    sets.push_back(context.set_from_literals(product));
+    sets.push_literals(product);
   CutSetAnalysis analysis =
-      context.finish(context.clamp(minimise(std::move(sets), &context)));
+      context.finish(context.clamp(context.minimise(sets)));
 
   analysis.p_lower = outcome.p_lower;
   analysis.p_upper = outcome.p_upper;

@@ -26,14 +26,17 @@
 //     to the exact engines. The engine for trees beyond exact reach: a
 //     fixed budget always buys a guaranteed interval.
 //
-// The set-based engines share an interned-bitset kernel: every (event,
-// polarity) literal of the normalised tree is mapped once to a dense id in
+// The set-based engines share a flat-row kernel: every (event, polarity)
+// literal of the normalised tree is mapped once to a dense id in
 // depth-first occurrence order (analysis/ordering.h -- the same order the
-// decision diagrams use), and a working cut set is a word-array bitset
-// with a cached popcount and a 64-bit membership signature. Subsumption is
-// a `(a & ~b) == 0` word loop behind a signature pre-filter, and the
-// minimisation pass buckets candidates by popcount so a candidate is only
-// screened against strictly smaller survivors.
+// decision diagrams use), and a family of working cut sets is one
+// contiguous rows x words bit array with a cached popcount and a 64-bit
+// membership signature per row. Subsumption is a `(a & ~b) == 0` word
+// loop behind a signature pre-filter. Minimisation groups the rows by
+// popcount with a counting sort, drops duplicates with a hash table per
+// popcount, and screens each candidate against the smaller survivors
+// that share its lowest-literal buckets; no comparison sort runs unless
+// the row order is observable (a truncating limit, a cone-cache store).
 //
 // All engines return the same canonical result: cut sets sorted by
 // (order, lexicographic event names). Negated literals (from NOT gates)
@@ -100,12 +103,11 @@ struct CutSetOptions {
   /// result `deadline_exceeded` (partial: cut sets may be missing, and the
   /// ones returned may be non-minimal).
   Budget budget{};
-  /// Optional worker pool (not owned): parallelises the quadratic
-  /// subsumption pass of minimisation over blocks of candidates and the
-  /// bound engine's frontier drain. The result is byte-identical to the
-  /// serial pass; null (the default) keeps everything on the calling
-  /// thread. The ZBDD conversion is serial whatever the pool: its
-  /// manager has one owner.
+  /// Optional worker pool (not owned): within one tree only the bound
+  /// engine's frontier drain uses it, with a result byte-identical to the
+  /// serial drain; null (the default) keeps everything on the calling
+  /// thread. The other engines run on the calling thread whatever the
+  /// pool (the ZBDD manager has one owner; set minimisation is serial).
   ThreadPool* pool = nullptr;
   /// Optional content-addressed cone cache (analysis/cache.h, not owned):
   /// per-cone minimal families are looked up / stored by structural hash,
@@ -270,12 +272,12 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
 CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
                             const CutSetOptions& options = {});
 
-/// Benchmark/diagnostic entry into the interned-bitset minimisation
-/// kernel: `sets` are cut sets over dense literal ids in [0, universe)
-/// (convention: id = 2 * event + negated, so ids 2k and 2k+1 are the two
-/// polarities of one event and a set holding both is contradictory and
-/// dropped). Returns the minimal, deduplicated sets as ascending id
-/// vectors, sorted by (size, lexicographic ids).
+/// Benchmark/diagnostic entry into the flat-row minimisation kernel:
+/// `sets` are cut sets over dense literal ids in [0, universe) (convention:
+/// id = 2 * event + negated, so ids 2k and 2k+1 are the two polarities of
+/// one event and a set holding both is contradictory and dropped). Returns
+/// the minimal, deduplicated sets as ascending id vectors, sorted by
+/// (size, lexicographic ids).
 std::vector<std::vector<int>> minimise_literal_sets(
     const std::vector<std::vector<int>>& sets, int universe);
 

@@ -2,8 +2,8 @@
 //
 // The analysis pipeline is embarrassingly parallel at several levels: one
 // model has many top events, one Monte Carlo run has many independent
-// shards, one subsumption pass has many independent candidates. All of
-// them funnel through this pool so the process owns exactly one set of
+// shards, one bound-engine frontier has many independent products. All
+// of them funnel through this pool so the process owns exactly one set of
 // worker threads, sized once (the CLI's --jobs flag).
 //
 // Design: every worker owns a deque. Tasks submitted from outside the

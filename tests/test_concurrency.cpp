@@ -354,29 +354,6 @@ TEST(ConcurrencyPool, MoveOnlyResultsWork) {
 // ---------------------------------------------------------------------------
 // Parallel stages vs their serial twins.
 
-TEST(ConcurrencyMinimise, ParallelSubsumptionMatchesSerial) {
-  // Thousands of working sets at the voting AND: large enough that the
-  // blocked parallel path actually engages (it falls back to serial below
-  // 2 blocks of candidates).
-  synthetic::ReplicatedConfig config;
-  config.channels = 3;
-  config.stages = 12;
-  Model model = synthetic::build_replicated(config);
-  FaultTree tree = Synthesiser(model).synthesise("Omission-sink");
-
-  CutSetAnalysis serial = minimal_cut_sets(tree);
-  ASSERT_GE(serial.peak_sets, 1000u);
-
-  ThreadPool pool(4);
-  CutSetOptions options;
-  options.pool = &pool;
-  CutSetAnalysis parallel = minimal_cut_sets(tree, options);
-
-  EXPECT_EQ(parallel.to_string(), serial.to_string());
-  EXPECT_EQ(parallel.cut_sets.size(), serial.cut_sets.size());
-  EXPECT_EQ(parallel.truncated, serial.truncated);
-}
-
 TEST(ConcurrencyMonteCarlo, ShardedRunIsIdenticalWithAndWithoutPool) {
   Model model = setta::build_bbw();
   const Deviation top{model.registry().omission(), Symbol("brake_force_fl")};

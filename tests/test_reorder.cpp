@@ -294,6 +294,67 @@ TEST(ReorderEngine, WarmConeCacheStaysByteIdenticalAcrossPolicies) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
+TEST(ReorderEngine, TruncatedSiftSampleDoesNotDependOnConeCacheState) {
+  // Tree A = (a0 AND ... AND a16) OR ((AND of a_i OR b_i) AND z): 131,072
+  // minimal sets, 131,071 of them of order 18 -- more than the sample
+  // enumeration's ceiling (max(4 * max_sets, 65536)), so the truncated
+  // listing keeps an enumeration prefix that follows the variable order
+  // sifting ends on. Tree B = a0 OR b0 OR (the same AND) is clean, and
+  // stores that AND as a diagram cone. Tree A must list the same sample
+  // whether or not B ran first.
+  constexpr int kPairs = 17;
+  auto build = [](bool tree_a) {
+    FaultTree tree(tree_a ? "a" : "b");
+    std::vector<FtNode*> a;
+    std::vector<FtNode*> b;
+    std::vector<FtNode*> pairs;
+    for (int i = 0; i < kPairs; ++i) {
+      a.push_back(tree.add_basic(Symbol("a" + std::to_string(i)), 1e-6, "",
+                                 ""));
+      b.push_back(tree.add_basic(Symbol("b" + std::to_string(i)), 1e-6, "",
+                                 ""));
+      pairs.push_back(tree.add_gate(GateKind::kOr, "", {a.back(), b.back()}));
+    }
+    FtNode* product = tree.add_gate(GateKind::kAnd, "", pairs);
+    if (tree_a) {
+      FtNode* z = tree.add_basic(Symbol("z"), 1e-6, "", "");
+      tree.set_top(tree.add_gate(
+          GateKind::kOr, "",
+          {tree.add_gate(GateKind::kAnd, "", a),
+           tree.add_gate(GateKind::kAnd, "", {product, z})}));
+    } else {
+      tree.set_top(
+          tree.add_gate(GateKind::kOr, "", {a.front(), b.front(), product}));
+    }
+    return tree;
+  };
+  const FaultTree tree_a = build(true);
+  const FaultTree tree_b = build(false);
+  for (OrderPolicy order : {OrderPolicy::kSift, OrderPolicy::kSiftConverge}) {
+    CutSetOptions options;
+    options.engine = CutSetEngine::kZbdd;
+    options.order = order;
+    options.max_sets = 32;
+    ConeCache cold_cache(cone_keyspace(options));
+    options.cone_cache = &cold_cache;
+    const CutSetAnalysis cold = compute_cut_sets(tree_a, options);
+    ASSERT_TRUE(cold.truncated);
+    ASSERT_EQ(cold.cut_sets.size(), 32u);
+
+    ConeCache warm_cache(cone_keyspace(options));
+    options.cone_cache = &warm_cache;
+    const CutSetAnalysis b = compute_cut_sets(tree_b, options);
+    ASSERT_FALSE(b.truncated);
+    ASSERT_EQ(b.cut_sets.size(), 2u);
+    ASSERT_GT(warm_cache.stats().diagram_entries, 0u);
+    const CutSetAnalysis warm = compute_cut_sets(tree_a, options);
+    EXPECT_EQ(warm.to_string(), cold.to_string())
+        << "order " << to_string(order);
+    ASSERT_TRUE(warm.reorder && cold.reorder);
+    EXPECT_EQ(warm.reorder->final_order, cold.reorder->final_order);
+  }
+}
+
 TEST(ReorderConcurrency, ParallelSiftedRunsShareOneCache) {
   // TSan coverage: four workers, each with its own Zbdd manager but one
   // shared cone cache, all reordering concurrently.

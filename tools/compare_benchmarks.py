@@ -4,9 +4,8 @@
 Usage:
     tools/compare_benchmarks.py BASELINE.json CANDIDATE.json
         [--threshold PCT] [--filter REGEX] [--metric METRIC]
-    tools/compare_benchmarks.py --service-report RESULTS.json
-        [--min-speedup X]
-    tools/compare_benchmarks.py --bound-report RESULTS.json
+    tools/compare_benchmarks.py
+        {--service-report|--prob-report|--bound-report} RESULTS.json
         [--min-speedup X]
 
 Pairs benchmark records by name (e.g. "BM_ZbddReplicated/6/4") and prints
@@ -17,13 +16,15 @@ one file are listed but never fail the comparison, and two files with no
 benchmark in common compare clean with a warning (a new suite simply has
 no baseline yet).
 
---service-report reads ONE results file (bench_results/BENCH_service.json,
-produced by bench/bench_service.cpp) and reports the daemon's warm-vs-cold
-request latency per workload: every BM_Service<Workload>Cold* record is
-read against its BM_Service<Workload>WarmDaemon counterpart, BBW
-warm/cold-cache methodology. With --min-speedup X the report exits 1 when
-any workload's ColdProcess/WarmDaemon ratio falls below X (the acceptance
-bar runs it with --min-speedup 5).
+--service-report, --prob-report and --bound-report each read ONE results
+file (bench_results/BENCH_service.json, BENCH_prob.json, BENCH_bound.json)
+and evaluate that report's rows of the GATES table below: every gate is a
+numerator, a denominator, a minimum ratio and a minimum core count. Exits 1
+when an evaluated gate misses its bar or names a record the file lacks. A
+gate whose core count exceeds the recording's num_cpus is not evaluated,
+and says so on stdout and stderr. --min-speedup X is the bar of the gates
+that take it from the command line (the headline speed-up of each report;
+0, the default, makes them report-only).
 
 Results are only meaningful between files produced the same way (same
 machine class, Release build -- see tools/run_benchmarks.sh). The files in
@@ -40,6 +41,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 
 
 def load_benchmarks(path: str, metric: str) -> dict[str, float]:
@@ -62,216 +64,136 @@ def load_benchmarks(path: str, metric: str) -> dict[str, float]:
     return out
 
 
-def service_report(path: str, metric: str, min_speedup: float) -> int:
-    """Warm-vs-cold daemon latency from one BENCH_service.json file."""
-    times = load_benchmarks(path, metric)
-    pattern = re.compile(r"^BM_Service(.+?)(ColdProcess|ColdWithDiskCache|WarmDaemon)$")
-    workloads: dict[str, dict[str, float]] = {}
-    for name, value in times.items():
-        match = pattern.match(name)
-        if match:
-            workloads.setdefault(match.group(1), {})[match.group(2)] = value
+@dataclass(frozen=True)
+class Gate:
+    """`numerator / denominator` must reach `min_ratio`.
 
-    pairs = {
-        name: axes
-        for name, axes in sorted(workloads.items())
-        if "WarmDaemon" in axes and ("ColdProcess" in axes or "ColdWithDiskCache" in axes)
-    }
-    if not pairs:
-        print(
-            "error: no Cold*/WarmDaemon benchmark pairs in " + path,
-            file=sys.stderr,
-        )
-        return 1
-
-    width = max(len(name) for name in pairs)
-    too_slow = []
-    print(
-        f"{'workload':<{width}}  {'cold ms':>10}  {'cold+disk ms':>13}  "
-        f"{'warm ms':>10}  speedup"
-    )
-    for name, axes in pairs.items():
-        warm = axes["WarmDaemon"]
-        cold = axes.get("ColdProcess")
-        disk = axes.get("ColdWithDiskCache")
-        cold_text = f"{cold:>10.2f}" if cold is not None else f"{'-':>10}"
-        disk_text = f"{disk:>13.2f}" if disk is not None else f"{'-':>13}"
-        if cold is not None and warm > 0:
-            speedup = cold / warm
-            speedup_text = f"{speedup:>6.1f}x"
-        else:
-            speedup = None
-            speedup_text = f"{'-':>7}"
-        print(f"{name:<{width}}  {cold_text}  {disk_text}  {warm:>10.2f}  {speedup_text}")
-        if speedup is not None and min_speedup > 0 and speedup < min_speedup:
-            too_slow.append((name, speedup))
-
-    if too_slow:
-        print(
-            f"\n{len(too_slow)} workload(s) below the {min_speedup:.0f}x "
-            "warm-daemon bar:",
-            file=sys.stderr,
-        )
-        for name, speedup in too_slow:
-            print(f"  {name}: {speedup:.1f}x", file=sys.stderr)
-        return 1
-    if min_speedup > 0:
-        print(f"\nok: every workload meets the {min_speedup:.0f}x warm-daemon bar")
-    return 0
-
-
-def prob_report(path: str, metric: str, min_speedup: float) -> int:
-    """Cut-set-path vs diagram-path analyse latency from BENCH_prob.json.
-
-    Pairs every BM_Analyse<Fixture>Cutsets record with its
-    BM_Analyse<Fixture>Diagram counterpart. The truncated fixtures (where
-    extraction dominates and the diagram path skips it) carry the
-    --min-speedup bar; the Bbw pair is the honesty axis -- a clean run
-    costs the same in both modes by construction -- and is report-only.
+    An operand is a benchmark name (its time in the chosen --metric), a
+    `name:counter` reference (a user counter of that record) or a plain
+    number. `min_ratio` None takes the bar from --min-speedup (0 there
+    makes the gate report-only); 0 is always report-only. `cores` is the
+    least `num_cpus` a recording needs for the ratio to mean anything.
     """
-    times = load_benchmarks(path, metric)
-    pattern = re.compile(r"^BM_Analyse(.*?)(Cutsets|Diagram)$")
-    fixtures: dict[str, dict[str, float]] = {}
-    for name, value in times.items():
-        match = pattern.match(name)
-        if match:
-            fixtures.setdefault(match.group(1) or "Truncated", {})[
-                match.group(2)
-            ] = value
 
-    pairs = {
-        name: axes
-        for name, axes in sorted(fixtures.items())
-        if "Cutsets" in axes and "Diagram" in axes
-    }
-    if not pairs:
-        print(
-            "error: no Cutsets/Diagram benchmark pairs in " + path,
-            file=sys.stderr,
-        )
-        return 1
-
-    width = max(len(name) for name in pairs)
-    too_slow = []
-    print(f"{'fixture':<{width}}  {'cutsets ms':>11}  {'diagram ms':>11}  speedup")
-    for name, axes in pairs.items():
-        cutsets = axes["Cutsets"]
-        diagram = axes["Diagram"]
-        speedup = cutsets / diagram if diagram > 0 else float("inf")
-        honesty = name.startswith("Bbw")
-        note = "  (honesty axis, ~1x expected)" if honesty else ""
-        print(
-            f"{name:<{width}}  {cutsets:>11.2f}  {diagram:>11.2f}  "
-            f"{speedup:>6.1f}x{note}"
-        )
-        if not honesty and min_speedup > 0 and speedup < min_speedup:
-            too_slow.append((name, speedup))
-
-    if too_slow:
-        print(
-            f"\n{len(too_slow)} fixture(s) below the {min_speedup:.0f}x "
-            "diagram-mode bar:",
-            file=sys.stderr,
-        )
-        for name, speedup in too_slow:
-            print(f"  {name}: {speedup:.1f}x", file=sys.stderr)
-        return 1
-    if min_speedup > 0:
-        print(f"\nok: every truncated fixture meets the {min_speedup:.0f}x bar")
-    return 0
+    label: str
+    numerator: str | float
+    denominator: str | float
+    min_ratio: float | None = None
+    cores: int = 1
 
 
-def bound_report(path: str, metric: str, min_speedup: float) -> int:
-    """Convergence-vs-time of the anytime bound engine from
-    BENCH_bound.json (bench/bench_bound.cpp).
+# One table per report. Each report reads ONE results file.
+GATES: dict[str, list[Gate]] = {
+    # bench/bench_service.cpp: the warm daemon against a cold process per
+    # request (CI bar: 5x); the disk-cache cold start is shown, not gated.
+    "service": [
+        Gate("BbwAnalyse cold/warm", "BM_ServiceBbwAnalyseColdProcess",
+             "BM_ServiceBbwAnalyseWarmDaemon"),
+        Gate("BbwAnalyse cold+disk/warm",
+             "BM_ServiceBbwAnalyseColdWithDiskCache",
+             "BM_ServiceBbwAnalyseWarmDaemon", 0.0),
+        Gate("BbwFmea cold/warm", "BM_ServiceBbwFmeaColdProcess",
+             "BM_ServiceBbwFmeaWarmDaemon"),
+    ],
+    # bench/bench_prob.cpp: cut-set path against diagram path on the
+    # truncated fixture, where extraction dominates; BBW is the honesty
+    # axis (a clean run costs the same in both modes), report-only.
+    "prob": [
+        Gate("truncated cutsets/diagram", "BM_AnalyseCutsets",
+             "BM_AnalyseDiagram"),
+        Gate("Bbw cutsets/diagram (honesty axis, ~1x)",
+             "BM_AnalyseBbwCutsets", "BM_AnalyseBbwDiagram", 0.0),
+    ],
+    # bench/bench_bound.cpp: every epsilon point converges to a width of
+    # at most 1e-3 inside 2000 ms; the ZBDD run, given ten times the node
+    # budget, still truncates (if it ever completes, the fixture no longer
+    # shows the gap and needs regrowing); the tightest point beats it by
+    # --min-speedup.
+    "bound": [
+        *(
+            gate
+            for e in (2, 4, 6)
+            for gate in (
+                Gate(f"/{e} converged",
+                     f"BM_BoundFrontierConverge/{e}:converged", 1.0, 1.0),
+                Gate(f"/{e} width <= 1e-3", 1e-3,
+                     f"BM_BoundFrontierConverge/{e}:width", 1.0),
+                Gate(f"/{e} time <= 2000 ms", 2000.0,
+                     f"BM_BoundFrontierConverge/{e}", 1.0),
+            )
+        ),
+        Gate("zbdd at 10x node budget truncates",
+             "BM_ZbddTenXNodeBudget:truncated", 1.0, 1.0),
+        Gate("truncated zbdd / tightest bound", "BM_ZbddTenXNodeBudget",
+             "BM_BoundFrontierConverge/6"),
+    ],
+}
 
-    Reads the BM_BoundFrontierConverge/E epsilon sweep (E = the epsilon
-    exponent) and the BM_ZbddTenXNodeBudget run on the same adversarial
-    tree, and gates on the acceptance counters: every bound point must be
-    converged with interval width <= 1e-3 inside a 2000 ms wall budget,
-    and the ZBDD run -- given ten times the bound engine's node budget --
-    must come back truncated (if it ever stops truncating, the fixture no
-    longer demonstrates the gap and needs regrowing). With --min-speedup X
-    the tightest-epsilon bound run must additionally be at least X times
-    faster than the truncated ZBDD run.
-    """
+
+def load_records(path: str) -> tuple[dict[str, dict], int]:
+    """Returns ({name: record}, num_cpus) for the per-iteration records."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    records: dict[str, dict[str, float]] = {}
-    for record in data.get("benchmarks", []):
-        if record.get("run_type", "iteration") == "aggregate":
-            continue
-        records[record["name"]] = {
-            key: float(value)
-            for key, value in record.items()
-            if isinstance(value, (int, float))
-        }
-
-    sweep = {
-        int(m.group(1)): fields
-        for name, fields in sorted(records.items())
-        if (m := re.match(r"^BM_BoundFrontierConverge/(\d+)$", name))
+    records = {
+        record["name"]: record
+        for record in data.get("benchmarks", [])
+        if record.get("run_type", "iteration") != "aggregate"
     }
-    zbdd = records.get("BM_ZbddTenXNodeBudget")
-    if not sweep or zbdd is None:
-        print(
-            "error: no BM_BoundFrontierConverge/E sweep plus "
-            "BM_ZbddTenXNodeBudget in " + path,
-            file=sys.stderr,
-        )
-        return 1
+    return records, int(data.get("context", {}).get("num_cpus", 0))
 
+
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
+def operand(records: dict[str, dict], ref: str | float, metric: str) -> float:
+    """A gate operand's value; benchmark times are in milliseconds."""
+    if not isinstance(ref, str):
+        return float(ref)
+    name, _, counter = ref.partition(":")
+    if name not in records:
+        raise KeyError(name)
+    record = records[name]
+    if counter:
+        return float(record[counter])
+    return float(record[metric]) * MS_PER_UNIT[record.get("time_unit", "ns")]
+
+
+def gate_report(report: str, path: str, metric: str, min_speedup: float) -> int:
+    """Evaluates GATES[report] against one results file."""
+    records, num_cpus = load_records(path)
     failures = []
-    print(f"{'benchmark':<30}  {'time ms':>10}  {'width':>12}  converged")
-    tightest = max(sweep)
-    for exponent in sorted(sweep):
-        fields = sweep[exponent]
-        time_ms = fields.get(metric, 0.0)
-        width = fields.get("width", float("inf"))
-        converged = fields.get("converged", 0.0) == 1.0
-        name = f"BM_BoundFrontierConverge/{exponent}"
-        print(
-            f"{name:<30}  {time_ms:>10.2f}  {width:>12.3e}  "
-            f"{'yes' if converged else 'NO'}"
-        )
-        if not converged:
-            failures.append(f"{name}: did not converge")
-        if width > 1e-3:
-            failures.append(f"{name}: width {width:.3e} above the 1e-3 bar")
-        if time_ms > 2000.0:
-            failures.append(f"{name}: {time_ms:.0f} ms over the 2 s budget")
-
-    zbdd_ms = zbdd.get(metric, 0.0)
-    truncated = zbdd.get("truncated", 0.0) == 1.0
-    print(
-        f"{'BM_ZbddTenXNodeBudget':<30}  {zbdd_ms:>10.2f}  {'-':>12}  "
-        f"{'truncated' if truncated else 'COMPLETED'}"
-    )
-    if not truncated:
-        failures.append(
-            "BM_ZbddTenXNodeBudget: completed at 10x the node budget; the "
-            "fixture no longer demonstrates the exact-engine gap"
-        )
-    bound_ms = sweep[tightest].get(metric, 0.0)
-    if min_speedup > 0 and bound_ms > 0:
-        speedup = zbdd_ms / bound_ms
-        print(
-            f"\ntightest epsilon vs truncated zbdd: {speedup:.1f}x "
-            f"({zbdd_ms:.1f} ms / {bound_ms:.2f} ms)"
-        )
-        if speedup < min_speedup:
-            failures.append(
-                f"bound engine only {speedup:.1f}x faster than the "
-                f"truncated zbdd run (bar: {min_speedup:.0f}x)"
-            )
-
+    skipped = []
+    width = max(len(gate.label) for gate in GATES[report])
+    print(f"{'gate':<{width}}  {'ratio':>10}  {'bar':>6}  verdict")
+    for gate in GATES[report]:
+        bar = min_speedup if gate.min_ratio is None else gate.min_ratio
+        if gate.cores > num_cpus:
+            skipped.append(f"{gate.label}: not evaluated: needs {gate.cores} "
+                           f"cores, recorded on {num_cpus}")
+            print(f"{gate.label:<{width}}  NOT EVALUATED: needs {gate.cores} "
+                  f"cores, recorded on {num_cpus}")
+            continue
+        try:
+            top = operand(records, gate.numerator, metric)
+            bottom = operand(records, gate.denominator, metric)
+        except KeyError as missing:
+            failures.append(f"{gate.label}: no {missing} record in {path}")
+            continue
+        ratio = top / bottom if bottom > 0 else float("inf")
+        verdict = "report only" if bar <= 0 else (
+            "ok" if ratio >= bar else "FAILED")
+        print(f"{gate.label:<{width}}  {ratio:>10.3g}  {bar:>6.3g}  {verdict}")
+        if verdict == "FAILED":
+            failures.append(f"{gate.label}: {ratio:.3g} below {bar:.3g}")
+    for line in skipped:
+        print(f"WARNING: {line}", file=sys.stderr)
     if failures:
-        print(f"\n{len(failures)} bound-engine check(s) failed:", file=sys.stderr)
+        print(f"\n{len(failures)} {report} gate(s) failed:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nok: certified interval within width and time budget; "
-          "zbdd truncates at 10x the node budget")
+    print(f"\nok: every evaluated {report} gate passed"
+          + (f" ({len(skipped)} not evaluated)" if skipped else ""))
     return 0
 
 
@@ -334,12 +256,10 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.service_report:
-        return service_report(args.service_report, args.metric, args.min_speedup)
-    if args.prob_report:
-        return prob_report(args.prob_report, args.metric, args.min_speedup)
-    if args.bound_report:
-        return bound_report(args.bound_report, args.metric, args.min_speedup)
+    for report in GATES:
+        path = getattr(args, f"{report}_report")
+        if path:
+            return gate_report(report, path, args.metric, args.min_speedup)
     if args.baseline is None or args.candidate is None:
         parser.error(
             "BASELINE and CANDIDATE are required unless "
